@@ -125,6 +125,14 @@ void TokenCountMixedColumnArm(benchmark::State& state, simd::TokenizerArm arm) {
   simd::SetTokenizerArm(prev);
 }
 
+// Records the arm the dispatcher picks here (AV_SIMD honored) in the JSON
+// context, so a saved run says which tokenizer kernel it measured.
+const bool g_arm_context_added = [] {
+  benchmark::AddCustomContext(
+      "tokenizer_arm", simd::TokenizerArmName(simd::TokenizerDispatch()));
+  return true;
+}();
+
 const bool g_arm_benches_registered = [] {
   for (const simd::TokenizerArm arm : simd::AvailableTokenizerArms()) {
     const std::string suffix = simd::TokenizerArmName(arm);
@@ -279,7 +287,7 @@ void BM_BuildIndexSmall(benchmark::State& state) {
 BENCHMARK(BM_BuildIndexSmall)->UseRealTime();
 
 /// The same 150-column offline job on the out-of-core path: every chunk
-/// index spills to an AVSPILL01 run and the reduce is the k-way streaming
+/// index spills to an AVSPILL02 run and the reduce is the k-way streaming
 /// merge. The delta vs BM_BuildIndexSmall is the spill tax (serialize +
 /// merge I/O) paid for bounded memory; output bytes are identical.
 void BM_BuildIndexSpill(benchmark::State& state) {

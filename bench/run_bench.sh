@@ -7,7 +7,8 @@
 #              (default: build)
 #   out_json   output path (default: BENCH_micro.json in the repo root)
 #
-# Emits: {machine, git_rev, micro: <google-benchmark json, key subset>,
+# Emits: {machine, git_rev, env: {nproc, tokenizer_arm, build flags},
+#         micro: <google-benchmark json, key subset>,
 #         offline_indexing: <per-tau wall-clock + patterns/sec>,
 #         build_index_simd: <interleaved dispatch-vs-SWAR medians>}
 #
@@ -58,13 +59,41 @@ for rep in 1 2 3; do
 done
 
 GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+NPROC="$(nproc)"
 
-python3 - "$TMP_MICRO" "$TMP_OFF150" "$TMP_OFF800" "$TMP_SIMD" "$OUT" "$GIT_REV" <<'EOF'
-import json, platform, statistics, sys
+python3 - "$TMP_MICRO" "$TMP_OFF150" "$TMP_OFF800" "$TMP_SIMD" "$OUT" "$GIT_REV" \
+  "$NPROC" "$BUILD_DIR/CMakeCache.txt" <<'EOF'
+import json, os, platform, statistics, sys
 
-micro_path, off150_path, off800_path, simd_path, out_path, git_rev = sys.argv[1:7]
+(micro_path, off150_path, off800_path, simd_path, out_path, git_rev, nproc,
+ cache_path) = sys.argv[1:9]
 with open(micro_path) as f:
     micro = json.load(f)
+
+# Build flags from the build directory's CMake cache (CMakeLists.txt makes
+# an empty CMAKE_BUILD_TYPE mean Release).
+cache = {}
+try:
+    with open(cache_path) as f:
+        for line in f:
+            name, sep, value = line.rstrip("\n").partition("=")
+            if sep and ":" in name and not line.startswith(("#", "//")):
+                cache[name.split(":")[0]] = value
+except OSError:
+    pass
+build_type = cache.get("CMAKE_BUILD_TYPE") or "Release"
+env = {
+    "nproc": int(nproc),
+    "tokenizer_arm": micro.get("context", {}).get("tokenizer_arm"),
+    "AV_SIMD_env": os.environ.get("AV_SIMD", "unset (runtime dispatch)"),
+    "build_type": build_type,
+    "cxx_compiler": cache.get("CMAKE_CXX_COMPILER"),
+    "cxx_flags": " ".join(
+        f for f in (cache.get("CMAKE_CXX_FLAGS", ""),
+                    cache.get("CMAKE_CXX_FLAGS_" + build_type.upper(), ""))
+        if f),
+    "AV_SIMD_cmake": cache.get("AV_SIMD"),
+}
 with open(off150_path) as f:
     off150 = json.load(f)
 with open(off800_path) as f:
@@ -99,6 +128,7 @@ if simd_runs:
 out = {
     "git_rev": git_rev,
     "machine": platform.platform(),
+    "env": env,
     "micro": benches,
     "build_index_simd": simd,
     "offline_indexing_150col": off150,

@@ -1,6 +1,7 @@
 // Hashing utilities (FNV-1a) used for value fingerprints and hash-map keys.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -29,25 +30,29 @@ inline uint64_t HashCombine(uint64_t a, uint64_t b) {
 inline constexpr uint64_t kPolyMul = 0x100000001b3ULL;
 inline constexpr uint64_t kPolySeed = 0xcbf29ce484222325ULL;
 
-/// 64-bit polynomial hash of a byte string: h = fold of h * kPolyMul + c.
-/// Evaluated four bytes per step (exact same polynomial mod 2^64) so the
-/// serial multiply chain is one multiply per block instead of per byte.
-inline uint64_t PolyHash64(std::string_view s) {
+/// Folds bytes [p, p + n) into a running polynomial hash state:
+/// h -> h * kPolyMul + c for every byte c, in order. Evaluated four bytes
+/// per step (exact same polynomial mod 2^64) so the serial multiply chain
+/// is one multiply per block instead of per byte. Because the per-byte
+/// fold composes, folding fragments one after another equals folding their
+/// concatenation, whatever the fragment boundaries.
+inline uint64_t PolyFold(uint64_t h, const unsigned char* p, size_t n) {
   constexpr uint64_t kP2 = kPolyMul * kPolyMul;
   constexpr uint64_t kP3 = kP2 * kPolyMul;
   constexpr uint64_t kP4 = kP3 * kPolyMul;
-  uint64_t h = kPolySeed;
   size_t i = 0;
-  for (; i + 4 <= s.size(); i += 4) {
-    h = h * kP4 + static_cast<unsigned char>(s[i]) * kP3 +
-        static_cast<unsigned char>(s[i + 1]) * kP2 +
-        static_cast<unsigned char>(s[i + 2]) * kPolyMul +
-        static_cast<unsigned char>(s[i + 3]);
+  for (; i + 4 <= n; i += 4) {
+    h = h * kP4 + p[i] * kP3 + p[i + 1] * kP2 + p[i + 2] * kPolyMul +
+        p[i + 3];
   }
-  for (; i < s.size(); ++i) {
-    h = h * kPolyMul + static_cast<unsigned char>(s[i]);
-  }
+  for (; i < n; ++i) h = h * kPolyMul + p[i];
   return h;
+}
+
+/// 64-bit polynomial hash of a byte string: PolyFold from kPolySeed.
+inline uint64_t PolyHash64(std::string_view s) {
+  return PolyFold(kPolySeed, reinterpret_cast<const unsigned char*>(s.data()),
+                  s.size());
 }
 
 }  // namespace av

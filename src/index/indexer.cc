@@ -249,11 +249,10 @@ Result<PatternIndex> BuildIndexStreaming(ColumnReader& reader,
         &local.merge_passes));
   } else {
     // In-memory reduce, shard-parallel: identical to the non-streaming
-    // BuildIndex (chunk order alone determines per-key accumulation).
+    // BuildIndex (chunk order alone determines per-key accumulation). Each
+    // global shard adopts chunk 0's tables and grows only with the keys
+    // later chunks add, so it is sized by distinct keys, not merge volume.
     pool.ParallelFor(PatternIndex::kNumShards, [&](size_t s) {
-      size_t upper_bound = 0;
-      for (const auto& chunk : retained) upper_bound += chunk->ShardSize(s);
-      global.ReserveShard(s, upper_bound);
       for (const auto& chunk : retained) global.MergeShardFrom(s, chunk.get());
     });
   }
@@ -321,11 +320,6 @@ Result<PatternIndex> TryBuildIndex(const Corpus& corpus,
 
   PatternIndex global;
   pool.ParallelFor(PatternIndex::kNumShards, [&](size_t s) {
-    size_t upper_bound = 0;
-    for (size_t c = 0; c < num_chunks; ++c) {
-      upper_bound += chunk_index[c].ShardSize(s);
-    }
-    global.ReserveShard(s, upper_bound);
     for (size_t c = 0; c < num_chunks; ++c) {
       global.MergeShardFrom(s, &chunk_index[c]);
     }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/durable_file.h"
+#include "common/thread_pool.h"
 
 namespace av {
 
@@ -29,6 +30,31 @@ constexpr char kMagicV2[8] = {'A', 'V', 'I', 'D', 'X', '0', '0', '2'};
 /// Smallest possible on-disk entry: key (8) + length (4) + empty string (0)
 /// + sum_impurity (8) + columns (4).
 constexpr uint64_t kMinEntryBytes = 24;
+/// Longest name a loader accepts (a corrupt length must not drive an
+/// allocation).
+constexpr uint32_t kMaxNameBytes = 1u << 24;
+/// Bytes after an entry's name: sum_impurity (8) + columns (4).
+constexpr size_t kEntryTailBytes = sizeof(double) + sizeof(uint32_t);
+
+/// Reads the key and name length of the entry at `*p` after checking that
+/// the whole entry (header, name, tail) lies before `end`; advances `*p`
+/// past the header.
+Status ReadEntryHeader(const char** p, const char* end, uint64_t* key,
+                       uint32_t* len) {
+  if (static_cast<size_t>(end - *p) < sizeof(*key) + sizeof(*len)) {
+    return Status::Corruption("truncated index entry");
+  }
+  std::memcpy(key, *p, sizeof(*key));
+  std::memcpy(len, *p + sizeof(*key), sizeof(*len));
+  *p += sizeof(*key) + sizeof(*len);
+  if (*len > kMaxNameBytes) {
+    return Status::Corruption("bad key length in index");
+  }
+  if (static_cast<size_t>(end - *p) < *len + kEntryTailBytes) {
+    return Status::Corruption("truncated index entry");
+  }
+  return Status::OK();
+}
 }  // namespace
 
 void PatternIndex::InsertAggregate(uint64_t key, const std::string& name,
@@ -56,11 +82,11 @@ void PatternIndex::MergeShardFrom(size_t shard, PatternIndex* other) {
     // Not pre-reserved: adopt the source tables wholesale.
     dst.stats = std::move(src.stats);
     dst.names = std::move(src.names);
-    src.stats.clear();
-    src.names.clear();
+    src = Shard{};
     return;
   }
-  dst.stats.reserve(dst.stats.size() + src.stats.size());
+  // The statistics table grows only as new keys arrive (no reservation for
+  // the merge volume: most of a chunk's keys are already present).
   src.stats.ConsumePipelined(
       [&dst](uint64_t key) { dst.stats.Prefetch(key); },
       [&dst](uint64_t key, Entry&& e) {
@@ -69,6 +95,9 @@ void PatternIndex::MergeShardFrom(size_t shard, PatternIndex* other) {
         d->sum_impurity += e.sum_impurity;
         d->columns += e.columns;
       });
+  // Every name belongs to a key now in `dst.stats`, so the merged names
+  // table needs exactly that many slots: one rehash, no growth steps.
+  dst.names.reserve(dst.stats.size());
   src.names.ConsumePipelined(
       [&dst](uint64_t key) { dst.names.Prefetch(key); },
       [&dst](uint64_t key, std::string&& name) {
@@ -84,6 +113,7 @@ void PatternIndex::MergeShardFrom(size_t shard, PatternIndex* other) {
           CheckNoCollision(key, *d, name);
         }
       });
+  src = Shard{};  // release the consumed tables' slot arrays
 }
 
 std::optional<PatternStats> PatternIndex::Lookup(uint64_t key) const {
@@ -112,26 +142,108 @@ void PatternIndex::ForEach(
   }
 }
 
+namespace {
+
+/// One entry of a sorted iteration. Rows order on (name, key): names are
+/// unique per key, so the order is total and any correct sort of the same
+/// rows yields the same sequence.
+struct SortRow {
+  std::string_view name;
+  uint64_t key;
+  const PatternIndex::Entry* entry;
+};
+
+bool RowLess(const SortRow& a, const SortRow& b) {
+  const int c = a.name.compare(b.name);
+  return c != 0 ? c < 0 : a.key < b.key;
+}
+
+/// Sample sort over `pool`, in place: sampled splitters cut the rows into
+/// key ranges, a parallel pass classifies every row, a cycle-walking
+/// permutation moves each row into its range (no second row array — the
+/// save's peak memory matters), and the ranges sort concurrently.
+/// Concatenating the sorted ranges is the sorted sequence — no merge step.
+void ParallelSort(std::vector<SortRow>& rows, ThreadPool& pool) {
+  const size_t n = rows.size();
+  const size_t ranges = std::min<size_t>(4 * (pool.num_threads() + 1), 256);
+  constexpr size_t kOversample = 32;
+
+  std::vector<SortRow> sample;
+  sample.reserve(ranges * kOversample);
+  for (size_t i = 0; i < ranges * kOversample; ++i) {
+    sample.push_back(rows[i * n / (ranges * kOversample)]);
+  }
+  std::sort(sample.begin(), sample.end(), RowLess);
+  std::vector<SortRow> splitters;  // ranges - 1 ascending cut points
+  for (size_t r = 1; r < ranges; ++r) {
+    splitters.push_back(sample[r * kOversample]);
+  }
+
+  // Rows are classified in `ranges` contiguous blocks; counts[b][r] is the
+  // number of block b's rows that fall in range r.
+  const size_t blocks = ranges;
+  std::vector<uint8_t> range_of(n);
+  std::vector<size_t> counts(blocks * ranges, 0);
+  pool.ParallelFor(blocks, [&](size_t b) {
+    size_t* count = &counts[b * ranges];
+    for (size_t i = b * n / blocks; i < (b + 1) * n / blocks; ++i) {
+      const size_t r = std::upper_bound(splitters.begin(), splitters.end(),
+                                        rows[i], RowLess) -
+                       splitters.begin();
+      range_of[i] = static_cast<uint8_t>(r);
+      ++count[r];
+    }
+  });
+  std::vector<size_t> range_begin(ranges + 1, 0);
+  for (size_t r = 0; r < ranges; ++r) {
+    size_t total = 0;
+    for (size_t b = 0; b < blocks; ++b) total += counts[b * ranges + r];
+    range_begin[r + 1] = range_begin[r] + total;
+  }
+  // Every swap lands one row in its final range, so this is at most n
+  // swaps; next[r] is the first slot of range r not yet holding its own.
+  std::vector<size_t> next(range_begin.begin(), range_begin.end() - 1);
+  for (size_t r = 0; r < ranges; ++r) {
+    while (next[r] < range_begin[r + 1]) {
+      const size_t i = next[r];
+      const size_t t = range_of[i];
+      if (t == r) {
+        ++next[r];
+        continue;
+      }
+      std::swap(rows[i], rows[next[t]]);
+      std::swap(range_of[i], range_of[next[t]]);
+      ++next[t];
+    }
+  }
+  pool.ParallelFor(ranges, [&](size_t r) {
+    std::sort(rows.begin() + range_begin[r], rows.begin() + range_begin[r + 1],
+              RowLess);
+  });
+}
+
+}  // namespace
+
 void PatternIndex::ForEachSorted(
-    const std::function<void(uint64_t, const std::string&, const Entry&)>& fn)
-    const {
-  struct Row {
-    uint64_t key;
-    const std::string* name;
-    const Entry* entry;
-  };
-  std::vector<Row> sorted;
-  sorted.reserve(size());
-  static const std::string kNoName;
+    const std::function<void(uint64_t, std::string_view, const Entry&)>& fn,
+    size_t num_threads) const {
+  std::vector<SortRow> rows;
+  rows.reserve(size());
   for (const Shard& s : shards_) {
     s.stats.ForEach([&](uint64_t key, const Entry& e) {
       const std::string* name = s.names.Find(key);
-      sorted.push_back({key, name != nullptr ? name : &kNoName, &e});
+      rows.push_back({name != nullptr ? std::string_view(*name)
+                                      : std::string_view(),
+                      key, &e});
     });
   }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Row& a, const Row& b) { return *a.name < *b.name; });
-  for (const Row& row : sorted) fn(row.key, *row.name, *row.entry);
+  if (num_threads != 1 && rows.size() >= kParallelSortMinRows) {
+    ThreadPool pool(num_threads);
+    ParallelSort(rows, pool);
+  } else {
+    std::sort(rows.begin(), rows.end(), RowLess);
+  }
+  for (const SortRow& row : rows) fn(row.key, row.name, *row.entry);
 }
 
 Status PatternIndex::Save(const std::string& path) const {
@@ -146,15 +258,17 @@ Status PatternIndex::Save(const std::string& path) const {
   const uint64_t n = size();
   AV_RETURN_NOT_OK(out.AppendPod(n));
   Status st = Status::OK();
-  ForEachSorted([&](uint64_t key, const std::string& name, const Entry& e) {
-    if (!st.ok()) return;
-    const uint32_t len = static_cast<uint32_t>(name.size());
-    st = out.AppendPod(key);
-    if (st.ok()) st = out.AppendPod(len);
-    if (st.ok()) st = out.Append(name.data(), len);
-    if (st.ok()) st = out.AppendPod(e.sum_impurity);
-    if (st.ok()) st = out.AppendPod(e.columns);
-  });
+  ForEachSorted(
+      [&](uint64_t key, std::string_view name, const Entry& e) {
+        if (!st.ok()) return;
+        const uint32_t len = static_cast<uint32_t>(name.size());
+        st = out.AppendPod(key);
+        if (st.ok()) st = out.AppendPod(len);
+        if (st.ok()) st = out.Append(name.data(), len);
+        if (st.ok()) st = out.AppendPod(e.sum_impurity);
+        if (st.ok()) st = out.AppendPod(e.columns);
+      },
+      /*num_threads=*/0);
   AV_RETURN_NOT_OK(st);
   return out.Commit();
 }
@@ -196,29 +310,26 @@ Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
   if (n > static_cast<uint64_t>(end - p) / kMinEntryBytes) {
     return Status::Corruption("entry count exceeds file size");
   }
-  PatternIndex idx;
-  for (size_t s = 0; s < kNumShards; ++s) {
-    idx.ReserveShard(s, static_cast<size_t>(2 * n / kNumShards + 1));
+  // Pre-pass over the entry headers: bounds-check every entry and count
+  // keys per shard, so each shard is sized once for what it will hold and a
+  // malformed file is rejected before any table is allocated.
+  std::array<size_t, kNumShards> shard_keys{};
+  const char* q = p;
+  for (uint64_t i = 0; i < n; ++i) {
+    uint64_t key = 0;
+    uint32_t len = 0;
+    AV_RETURN_NOT_OK(ReadEntryHeader(&q, end, &key, &len));
+    q += len + kEntryTailBytes;
+    ++shard_keys[ShardOf(key)];
   }
+  PatternIndex idx;
+  for (size_t s = 0; s < kNumShards; ++s) idx.ReserveShard(s, shard_keys[s]);
   std::string name;
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t key = 0;
     uint32_t len = 0;
-    if (static_cast<size_t>(end - p) < sizeof(key) + sizeof(len)) {
-      return Status::Corruption("truncated index entry");
-    }
-    std::memcpy(&key, p, sizeof(key));
-    p += sizeof(key);
-    std::memcpy(&len, p, sizeof(len));
-    p += sizeof(len);
-    if (len > (1u << 24)) {
-      return Status::Corruption("bad key length in index");
-    }
+    AV_RETURN_NOT_OK(ReadEntryHeader(&p, end, &key, &len));
     Entry e;
-    if (static_cast<size_t>(end - p) <
-        len + sizeof(e.sum_impurity) + sizeof(e.columns)) {
-      return Status::Corruption("truncated index entry");
-    }
     name.assign(p, len);
     p += len;
     std::memcpy(&e.sum_impurity, p, sizeof(e.sum_impurity));

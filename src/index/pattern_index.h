@@ -94,7 +94,11 @@ class PatternIndex {
 
   /// Merges (and consumes) one shard of `other` into the same shard of this
   /// index. Distinct shards are independent, so the offline reduce phase may
-  /// call this concurrently for different `shard` values.
+  /// call this concurrently for different `shard` values. An empty,
+  /// unreserved shard adopts `other`'s tables; otherwise the statistics
+  /// merge first and the names table is then sized from the merged key
+  /// count, so memory follows the distinct keys, not the merge volume.
+  /// `other`'s shard storage is released.
   void MergeShardFrom(size_t shard, PatternIndex* other);
 
   /// Reduce helpers: entry count of one shard, and pre-sizing a shard ahead
@@ -135,10 +139,20 @@ class PatternIndex {
   void ForEach(
       const std::function<void(const std::string&, const Entry&)>& fn) const;
 
-  /// Iterates over all entries sorted by canonical string form — the
-  /// deterministic order of the AVIDX002 file and of AVSPILL01 spill runs.
-  void ForEachSorted(const std::function<void(uint64_t, const std::string&,
-                                              const Entry&)>& fn) const;
+  /// Entry counts at or above which a multi-threaded ForEachSorted (and
+  /// hence Save) sorts in parallel; below it the sort runs on the caller.
+  static constexpr size_t kParallelSortMinRows = size_t{1} << 15;
+
+  /// Iterates over all entries sorted by (canonical string form, key) — the
+  /// deterministic order of the AVIDX003 file and of AVSPILL02 spill runs.
+  /// Names are unique per key, so the order is total and the sequence does
+  /// not depend on `num_threads`: 1 sorts on the calling thread, 0 selects
+  /// the hardware concurrency, and above kParallelSortMinRows entries more
+  /// than one thread range-partitions the rows by sampled splitters and
+  /// sorts the ranges concurrently on a local pool.
+  void ForEachSorted(
+      const std::function<void(uint64_t, std::string_view, const Entry&)>& fn,
+      size_t num_threads = 1) const;
 
   /// Binary serialization (format AVIDX003, docs/FILE_FORMATS.md). Entries
   /// are written sorted by string key, so two indexes with identical

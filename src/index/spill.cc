@@ -74,10 +74,10 @@ Result<uint64_t> WriteSpillRun(const PatternIndex& chunk,
   SpillRunWriter writer;
   AV_RETURN_NOT_OK(writer.Open(path));
   Status st = Status::OK();
-  chunk.ForEachSorted([&](uint64_t key, const std::string& name,
+  SpillEntry entry;  // reused: the name buffer is allocated once per run
+  chunk.ForEachSorted([&](uint64_t key, std::string_view name,
                           const PatternIndex::Entry& e) {
     if (!st.ok()) return;
-    SpillEntry entry;
     entry.key = key;
     entry.name = name;
     entry.sum_impurity = e.sum_impurity;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <filesystem>
@@ -15,6 +16,7 @@
 
 #include "common/file_ops.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "common/temp_file.h"
 
 namespace av {
@@ -51,6 +53,28 @@ TEST(PolyHasherTest, MatchesOneShotHashForAnyChunking) {
     EXPECT_EQ(h.digest(), PolyHash64(data)) << "chunk " << chunk;
   }
   EXPECT_EQ(PolyHasher{}.digest(), PolyHash64(""));
+}
+
+TEST(PolyHasherTest, BlockedFoldMatchesPerByteFoldAcrossSeams) {
+  // 64 KiB of random bytes fed in random 1-9 byte fragments, so fragment
+  // boundaries land at every offset within the 4-byte blocks of the fold.
+  Rng rng(2024);
+  std::string data(64 * 1024, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Below(256));
+  uint64_t per_byte = kPolySeed;  // the definition: one multiply per byte
+  for (const char c : data) {
+    per_byte = per_byte * kPolyMul + static_cast<unsigned char>(c);
+  }
+  EXPECT_EQ(PolyHash64(data), per_byte);
+  for (int trial = 0; trial < 8; ++trial) {
+    PolyHasher h;
+    for (size_t i = 0; i < data.size();) {
+      const size_t step = std::min<size_t>(1 + rng.Below(9), data.size() - i);
+      h.Update(data.data() + i, step);
+      i += step;
+    }
+    EXPECT_EQ(h.digest(), per_byte) << "trial " << trial;
+  }
 }
 
 TEST(DurableFileTest, CommitProducesVerifiableTrailedFile) {

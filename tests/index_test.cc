@@ -2,17 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/durable_file.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "lakegen/lakegen.h"
 
 #include "index/analysis.h"
 #include "index/pattern_index.h"
 #include "tests/test_util.h"
+
+// Bytes requested through operator new on the current thread while
+// `g_count_allocs` is set: lets a test assert that a loader rejects a
+// malformed file before it allocates tables sized from the file's header.
+namespace {
+thread_local bool g_count_allocs = false;
+thread_local size_t g_alloc_bytes = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_allocs) g_alloc_bytes += n;
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+// GCC flags free() on memory from operator new even when operator new is
+// this malloc-backed replacement.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace av {
 namespace {
@@ -79,6 +106,127 @@ TEST(PatternIndexTest, LoadRejectsGarbage) {
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   std::filesystem::remove(path);
+}
+
+/// The (name, key) sequence ForEachSorted emits with `threads` sort threads.
+std::vector<std::pair<std::string, uint64_t>> SortedSequence(
+    const PatternIndex& idx, size_t threads) {
+  std::vector<std::pair<std::string, uint64_t>> seq;
+  idx.ForEachSorted(
+      [&](uint64_t key, std::string_view name, const PatternIndex::Entry&) {
+        seq.emplace_back(std::string(name), key);
+      },
+      threads);
+  return seq;
+}
+
+TEST(PatternIndexTest, SortedOrderIsTotalAtAnySize) {
+  constexpr size_t kThreshold = PatternIndex::kParallelSortMinRows;
+  // Names share a 44-byte prefix, so comparisons run deep into the strings;
+  // every 37th entry is nameless (empty name), so those order by key alone.
+  const std::string prefix =
+      "<digit>{4}-<digit>{2}-<digit>{2}T<digit>{2}:<";
+  ASSERT_GE(prefix.size(), 40u);
+  for (const size_t n : {size_t{0}, size_t{1}, kThreshold - 1, kThreshold,
+                         size_t{100000}}) {
+    PatternIndex idx;
+    std::vector<std::pair<std::string, uint64_t>> reference;
+    Rng rng(n + 1);
+    for (size_t i = 0; i < n; ++i) {
+      const std::string name =
+          i % 37 == 0 ? std::string()
+                      : prefix + std::to_string(rng.Below(1u << 30)) + ">";
+      const uint64_t key = rng.Next();
+      bool fresh = false;
+      idx.AddKeyed(key, 0.5, [&] {
+        fresh = true;
+        return name;
+      });
+      if (fresh) reference.emplace_back(name, key);
+    }
+    std::sort(reference.begin(), reference.end());
+    ASSERT_EQ(reference.size(), idx.size());
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
+      EXPECT_EQ(SortedSequence(idx, threads), reference)
+          << "n=" << n << " threads=" << threads;
+    }
+  }
+
+  // Save sorts on every core: a 1-thread and a 4-thread build of a lake
+  // above the parallel threshold must still save identical bytes.
+  const Corpus corpus = testutil::SmallLake(200, 5);
+  std::string saved[2];
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    IndexerConfig cfg;
+    cfg.num_threads = threads;
+    const PatternIndex idx = BuildIndex(corpus, cfg);
+    ASSERT_GE(idx.size(), kThreshold);
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "av_index_sorted.bin")
+            .string();
+    ASSERT_TRUE(idx.Save(path).ok());
+    auto file = ReadFileToString(path);
+    ASSERT_TRUE(file.ok());
+    saved[threads == 1 ? 0 : 1] = std::move(*file);
+    std::filesystem::remove(path);
+  }
+  EXPECT_EQ(saved[0], saved[1]);
+}
+
+/// An AVIDX003 image: header claiming `count` entries, then `entries`, then
+/// a correct trailer — so the loader gets past the checksum to the entries.
+std::string IndexImage(uint64_t count, const std::string& entries) {
+  std::string bytes("AVIDX003", 8);
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  bytes += entries;
+  const uint64_t len = bytes.size();
+  const uint64_t digest = PolyHash64(bytes);
+  bytes.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  bytes.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  bytes.append(kTrailerMagic, sizeof(kTrailerMagic));
+  return bytes;
+}
+
+/// One on-disk entry whose name length field says `len` and whose body is
+/// `body_bytes` bytes long (name plus sum_impurity and columns).
+std::string EntryBytes(uint64_t key, uint32_t len, size_t body_bytes) {
+  std::string e;
+  e.append(reinterpret_cast<const char*>(&key), sizeof(key));
+  e.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  e.append(body_bytes, '\0');
+  return e;
+}
+
+TEST(PatternIndexTest, LoadRejectsBadEntryHeadersBeforeAllocating) {
+  // The header claims as many entries as the payload could hold (~50k), so
+  // tables reserved from the count alone would take megabytes; the
+  // pre-pass must reject the file before reserving anything.
+  constexpr size_t kPayload = 1200000;
+  constexpr size_t kCount = kPayload / 24;
+  struct Case {
+    const char* what;
+    std::string entries;
+  };
+  const Case cases[] = {
+      // Entry 0 spans all but 6 bytes, so entry 1's 12-byte header is cut.
+      {"truncated entry header",
+       EntryBytes(1, kPayload - 12 - 12 - 6, kPayload - 12 - 6) +
+           std::string(6, '\0')},
+      // Entry 0's name length exceeds the 2^24 loader cap.
+      {"name length above 2^24",
+       EntryBytes(1, (1u << 24) + 1, kPayload - 12)},
+  };
+  for (const Case& c : cases) {
+    ASSERT_GE(c.entries.size(), kCount * 24) << c.what;
+    const std::string image = IndexImage(kCount, c.entries);
+    g_alloc_bytes = 0;
+    g_count_allocs = true;
+    auto loaded = PatternIndex::LoadFromBuffer(image);
+    g_count_allocs = false;
+    ASSERT_FALSE(loaded.ok()) << c.what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << c.what;
+    EXPECT_LT(g_alloc_bytes, 64u * 1024) << c.what;
+  }
 }
 
 // Golden byte-identity of the saved AVIDX003 payload (the bytes before the

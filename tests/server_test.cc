@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -478,30 +479,54 @@ TEST(ServerEvictionTest, SlowReaderTripsOutboxCapAndIsEvicted) {
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
 
-  // Each request carries five 2 KiB non-conforming values, so every reply
-  // echoes ~10 KiB of sample violations — a handful of unread replies
-  // overflow the cap.
+  // Each request carries five distinct 2 KiB non-conforming values, so
+  // every reply echoes ~10 KiB of sample violations (validation dedups
+  // identical violations, so the values must differ) — a handful of unread
+  // replies overflow the cap once the kernel buffers are full.
+  std::vector<std::string> values;
+  for (char c = 'v'; c < 'v' + 5; ++c) values.emplace_back(2048, c);
   WireWriter w;
   w.PutStr("a");
-  w.PutValues(std::vector<std::string>(5, std::string(2048, 'x')));
+  w.PutValues(values);
   const std::string request =
       std::string(kHello, kHelloSize) +
       EncodeFrame(static_cast<uint8_t>(Opcode::kValidate), w.str());
 
+  // Flood with non-blocking sends until the server evicts us, a byte budget
+  // is spent, or a deadline passes. How many replies the kernel absorbs
+  // before the outbox grows depends on the host's TCP autotuning (send
+  // buffers may grow to several MiB), so the flood is bounded by bytes far
+  // above any such buffer rather than by a fixed frame count.
+  constexpr size_t kFloodBudgetBytes = 256u << 20;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  size_t sent = 0;
+  size_t offset = 0;  // within the current frame (the hello rides frame 0)
+  std::string_view frame(request);
   bool send_failed = false;
-  for (int i = 0; i < 600 && server.connections_evicted() == 0; ++i) {
-    const std::string_view bytes =
-        i == 0 ? std::string_view(request)
-               : std::string_view(request).substr(kHelloSize);
-    // Sends may fail once the server reaps the connection — that is the
-    // success path, not an error.
-    if (::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) < 0) {
+  while (server.connections_evicted() == 0 && sent < kFloodBudgetBytes &&
+         std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n = ::send(fd, frame.data() + offset, frame.size() - offset,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+        // Our send window is full: the server has stopped reading until it
+        // drains replies. Give its loop a moment to notice the cap.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        continue;
+      }
+      // Sends fail once the server reaps the connection — that is the
+      // success path, not an error.
       send_failed = true;
       break;
     }
+    sent += static_cast<size_t>(n);
+    offset += static_cast<size_t>(n);
+    if (offset == frame.size()) {
+      frame = std::string_view(request).substr(kHelloSize);
+      offset = 0;
+    }
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server.connections_evicted() == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
