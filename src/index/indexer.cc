@@ -70,14 +70,12 @@ size_t EnumerateColumn(const Column& column, const IndexerConfig& cfg,
     options.EnumerateUnionKeyed(
         min_weight, remaining,
         [index](uint64_t key) { index->Prefetch(key); },
-        [&](uint64_t key, uint64_t weight,
-            const std::function<Pattern()>& materialize) {
+        [&](uint64_t key, uint64_t weight, const auto& name) {
           const double impurity =
               1.0 - static_cast<double>(weight) / static_cast<double>(total);
-          // Keyed insert: the pattern (and its string form) is materialized
-          // only the first time this key is seen by this index.
-          index->AddKeyed(key, impurity,
-                          [&materialize] { return materialize().ToString(); });
+          // Keyed insert: the string form is rendered only the first time
+          // this key is seen by this index (and for sampled checks).
+          index->AddKeyed(key, impurity, name);
           ++emitted;
         });
   }

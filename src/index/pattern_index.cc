@@ -11,14 +11,15 @@
 
 namespace av {
 
-void PatternIndex::CheckNoCollision(uint64_t key, const std::string& stored,
-                                    const std::string& fresh) {
+void PatternIndex::CheckNoCollision(uint64_t key, std::string_view stored,
+                                    std::string_view fresh) {
   if (stored == fresh) return;
   std::fprintf(stderr,
-               "PatternIndex: 64-bit key collision %016llx between \"%s\" "
-               "and \"%s\"; statistics would merge silently\n",
-               static_cast<unsigned long long>(key), stored.c_str(),
-               fresh.c_str());
+               "PatternIndex: 64-bit key collision %016llx between \"%.*s\" "
+               "and \"%.*s\"; statistics would merge silently\n",
+               static_cast<unsigned long long>(key),
+               static_cast<int>(stored.size()), stored.data(),
+               static_cast<int>(fresh.size()), fresh.data());
   std::abort();
 }
 
@@ -57,18 +58,17 @@ Status ReadEntryHeader(const char** p, const char* end, uint64_t* key,
 }
 }  // namespace
 
-void PatternIndex::InsertAggregate(uint64_t key, const std::string& name,
+void PatternIndex::InsertAggregate(uint64_t key, std::string_view name,
                                    double sum_impurity, uint32_t columns) {
   Shard& shard = ShardFor(key);
-  auto [entry, inserted] = shard.stats.TryEmplace(key);
+  auto [slot, inserted] = shard.stats.TryEmplace(key);
   if (inserted) {
-    *shard.names.TryEmplace(key).first = name;
+    shard.SetName(slot, name);
   } else {
-    const std::string* stored = shard.names.Find(key);
-    if (stored != nullptr) CheckNoCollision(key, *stored, name);
+    CheckNoCollision(key, slot->name(), name);
   }
-  entry->sum_impurity += sum_impurity;
-  entry->columns += columns;
+  slot->sum_impurity += sum_impurity;
+  slot->columns += columns;
 }
 
 void PatternIndex::MergeFrom(PatternIndex&& other) {
@@ -79,49 +79,39 @@ void PatternIndex::MergeShardFrom(size_t shard, PatternIndex* other) {
   Shard& dst = shards_[shard];
   Shard& src = other->shards_[shard];
   if (dst.stats.empty() && dst.stats.capacity() == 0) {
-    // Not pre-reserved: adopt the source tables wholesale.
-    dst.stats = std::move(src.stats);
-    dst.names = std::move(src.names);
+    // Not pre-reserved: adopt the source table and arena wholesale (the
+    // arena's blocks move with it, so the slots' name views stay valid).
+    dst = std::move(src);
     src = Shard{};
     return;
   }
-  // The statistics table grows only as new keys arrive (no reservation for
-  // the merge volume: most of a chunk's keys are already present).
+  // The table grows only as new keys arrive (no reservation for the merge
+  // volume: most of a chunk's keys are already present). A new key's name
+  // is copied into this shard's arena; a duplicate key's names must agree,
+  // or two distinct patterns collided on one 64-bit key. This is the check
+  // that covers the production chunked BuildIndex path (chunk-local column
+  // counts are too small for AddKeyed's sampled check).
   src.stats.ConsumePipelined(
       [&dst](uint64_t key) { dst.stats.Prefetch(key); },
-      [&dst](uint64_t key, Entry&& e) {
+      [&dst](uint64_t key, Slot&& s) {
         auto [d, inserted] = dst.stats.TryEmplace(key);
-        (void)inserted;
-        d->sum_impurity += e.sum_impurity;
-        d->columns += e.columns;
-      });
-  // Every name belongs to a key now in `dst.stats`, so the merged names
-  // table needs exactly that many slots: one rehash, no growth steps.
-  dst.names.reserve(dst.stats.size());
-  src.names.ConsumePipelined(
-      [&dst](uint64_t key) { dst.names.Prefetch(key); },
-      [&dst](uint64_t key, std::string&& name) {
-        auto [d, inserted] = dst.names.TryEmplace(key);
         if (inserted) {
-          *d = std::move(name);
+          dst.SetName(d, s.name());
         } else {
-          // Same key from two map-phase accumulators: the strings must
-          // agree, or two distinct patterns collided on one 64-bit key and
-          // their statistics just merged above. This is the check that
-          // covers the production chunked BuildIndex path (chunk-local
-          // column counts are too small for AddKeyed's sampled check).
-          CheckNoCollision(key, *d, name);
+          CheckNoCollision(key, d->name(), s.name());
         }
+        d->sum_impurity += s.sum_impurity;
+        d->columns += s.columns;
       });
-  src = Shard{};  // release the consumed tables' slot arrays
+  src = Shard{};  // release the consumed table and the source arena
 }
 
 std::optional<PatternStats> PatternIndex::Lookup(uint64_t key) const {
-  const Entry* e = ShardFor(key).stats.Find(key);
-  if (e == nullptr) return std::nullopt;
+  const Slot* slot = ShardFor(key).stats.Find(key);
+  if (slot == nullptr) return std::nullopt;
   PatternStats s;
-  s.coverage = e->columns;
-  s.fpr = e->columns > 0 ? e->sum_impurity / e->columns : 1.0;
+  s.coverage = slot->columns;
+  s.fpr = slot->columns > 0 ? slot->sum_impurity / slot->columns : 1.0;
   return s;
 }
 
@@ -133,28 +123,32 @@ size_t PatternIndex::size() const {
 
 void PatternIndex::ForEach(
     const std::function<void(const std::string&, const Entry&)>& fn) const {
-  static const std::string kNoName;
+  std::string name;
   for (const Shard& s : shards_) {
-    s.stats.ForEach([&](uint64_t key, const Entry& e) {
-      const std::string* name = s.names.Find(key);
-      fn(name != nullptr ? *name : kNoName, e);
+    s.stats.ForEach([&](uint64_t, const Slot& slot) {
+      name.assign(slot.name());
+      fn(name, slot.entry());
     });
   }
 }
 
 namespace {
 
-/// One entry of a sorted iteration. Rows order on (name, key): names are
-/// unique per key, so the order is total and any correct sort of the same
-/// rows yields the same sequence.
+/// One entry of a sorted iteration, copied out of its slot (32 bytes, the
+/// statistics inline so emitting a row touches no table). Rows order on
+/// (name, key): names are unique per key, so the order is total and any
+/// correct sort of the same rows yields the same sequence.
 struct SortRow {
-  std::string_view name;
+  const char* name_data;
+  uint32_t name_len;
+  uint32_t columns;
   uint64_t key;
-  const PatternIndex::Entry* entry;
+  double sum_impurity;
+  std::string_view name() const { return {name_data, name_len}; }
 };
 
 bool RowLess(const SortRow& a, const SortRow& b) {
-  const int c = a.name.compare(b.name);
+  const int c = a.name().compare(b.name());
   return c != 0 ? c < 0 : a.key < b.key;
 }
 
@@ -230,11 +224,9 @@ void PatternIndex::ForEachSorted(
   std::vector<SortRow> rows;
   rows.reserve(size());
   for (const Shard& s : shards_) {
-    s.stats.ForEach([&](uint64_t key, const Entry& e) {
-      const std::string* name = s.names.Find(key);
-      rows.push_back({name != nullptr ? std::string_view(*name)
-                                      : std::string_view(),
-                      key, &e});
+    s.stats.ForEach([&](uint64_t key, const Slot& slot) {
+      rows.push_back({slot.name_data, slot.name_len, slot.columns, key,
+                      slot.sum_impurity});
     });
   }
   if (num_threads != 1 && rows.size() >= kParallelSortMinRows) {
@@ -243,7 +235,9 @@ void PatternIndex::ForEachSorted(
   } else {
     std::sort(rows.begin(), rows.end(), RowLess);
   }
-  for (const SortRow& row : rows) fn(row.key, row.name, *row.entry);
+  for (const SortRow& row : rows) {
+    fn(row.key, row.name(), Entry{row.sum_impurity, row.columns});
+  }
 }
 
 Status PatternIndex::Save(const std::string& path) const {
@@ -311,9 +305,11 @@ Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
     return Status::Corruption("entry count exceeds file size");
   }
   // Pre-pass over the entry headers: bounds-check every entry and count
-  // keys per shard, so each shard is sized once for what it will hold and a
-  // malformed file is rejected before any table is allocated.
+  // keys and name bytes per shard, so each shard's table and arena are
+  // sized once for what they will hold and a malformed file is rejected
+  // before any of them is allocated.
   std::array<size_t, kNumShards> shard_keys{};
+  std::array<size_t, kNumShards> shard_name_bytes{};
   const char* q = p;
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t key = 0;
@@ -321,16 +317,19 @@ Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
     AV_RETURN_NOT_OK(ReadEntryHeader(&q, end, &key, &len));
     q += len + kEntryTailBytes;
     ++shard_keys[ShardOf(key)];
+    shard_name_bytes[ShardOf(key)] += len;
   }
   PatternIndex idx;
-  for (size_t s = 0; s < kNumShards; ++s) idx.ReserveShard(s, shard_keys[s]);
-  std::string name;
+  for (size_t s = 0; s < kNumShards; ++s) {
+    idx.ReserveShard(s, shard_keys[s]);
+    idx.shards_[s].names.Reserve(shard_name_bytes[s]);
+  }
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t key = 0;
     uint32_t len = 0;
     AV_RETURN_NOT_OK(ReadEntryHeader(&p, end, &key, &len));
     Entry e;
-    name.assign(p, len);
+    const std::string_view name(p, len);
     p += len;
     std::memcpy(&e.sum_impurity, p, sizeof(e.sum_impurity));
     p += sizeof(e.sum_impurity);
@@ -347,13 +346,10 @@ Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
 uint64_t PatternIndex::ApproxBytes() const {
   uint64_t bytes = 0;
   for (const Shard& s : shards_) {
-    // Flat slots (key + value) in both tables, with the 8/5 factor
-    // approximating open-addressing slack, plus out-of-line string bytes.
-    bytes += s.stats.size() *
-             (2 * sizeof(uint64_t) + sizeof(Entry) + sizeof(std::string)) *
-             8 / 5;
-    s.names.ForEach(
-        [&bytes](uint64_t, const std::string& n) { bytes += n.size(); });
+    // Flat slots (key + slot value), with the 8/5 factor approximating
+    // open-addressing slack, plus the name arena's blocks.
+    bytes += s.stats.size() * (sizeof(uint64_t) + sizeof(Slot)) * 8 / 5 +
+             s.names.bytes();
   }
   return bytes;
 }

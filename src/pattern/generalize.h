@@ -179,15 +179,18 @@ class ShapeOptions {
       const std::function<void(Pattern&&, uint64_t)>& cb) const;
 
   /// Allocation-free variant of EnumerateUnion for the offline indexer:
-  /// `cb(key, weight, materialize)` receives the canonical 64-bit interned
-  /// key (== PatternKey of the pattern), its weighted match count, and a
-  /// materializer building the Pattern on demand — the hot loop never
-  /// constructs a Pattern or its string form unless the index actually
-  /// needs it (first occurrence). Emissions are software-pipelined: each
-  /// key is announced to `prefetch` several emissions before `cb` sees it,
-  /// so the consumer's hash-table probe finds its cache line already warm.
-  /// Delivery order is FIFO (deterministic). Templated so the whole chain
-  /// inlines into the caller (defined below in this header).
+  /// `cb(key, weight, name)` receives the canonical 64-bit interned key
+  /// (== PatternKey of the pattern), its weighted match count, and a
+  /// callable `name()` returning the pattern's canonical string form as a
+  /// std::string_view. The name is the concatenation of the chosen options'
+  /// precomputed atom texts, written into one reused buffer: the view stays
+  /// valid until the next `name()` call or the end of the enumeration, and
+  /// the hot loop builds no Pattern and no string unless the index actually
+  /// needs the name (first occurrence). Emissions are software-pipelined:
+  /// each key is announced to `prefetch` several emissions before `cb` sees
+  /// it, so the consumer's hash-table probe finds its cache line already
+  /// warm. Delivery order is FIFO (deterministic). Templated so the whole
+  /// chain inlines into the caller (defined below in this header).
   template <class Prefetch, class Cb>
   void EnumerateUnionKeyed(uint64_t min_weight, size_t max_patterns,
                            const Prefetch& prefetch, const Cb& cb) const;
@@ -213,6 +216,7 @@ class ShapeOptions {
  private:
   struct Option {
     Atom atom;
+    std::string text;  ///< canonical string form of `atom`
     Bitset mask;
     uint64_t weight = 0;   ///< weighted count of satisfied values
     uint64_t key_mul = 1;  ///< affine key coefficients of `atom`
@@ -326,22 +330,22 @@ void ShapeOptions::EnumerateUnionKeyed(uint64_t min_weight,
     uint64_t weight;
   };
   Emission ring[kPipe];
-  // Per-slot copies of the DFS choices, so deferred materialization sees
-  // the choices as of emission time (the live vector keeps mutating).
+  // Per-slot copies of the DFS choices, so a deferred name() sees the
+  // choices as of emission time (the live vector keeps mutating).
   std::vector<const Option*> ring_chosen(kPipe * n);
   size_t head = 0;
   size_t count = 0;
 
   const Option* const* current = nullptr;
-  const std::function<Pattern()> materialize = [&current, n] {
-    std::vector<Atom> atoms;
-    atoms.reserve(n);
-    for (size_t i = 0; i < n; ++i) AppendAtomMerged(atoms, current[i]->atom);
-    return Pattern(std::move(atoms));
+  std::string name_buf;
+  const auto name = [&current, &name_buf, n]() -> std::string_view {
+    name_buf.clear();
+    for (size_t i = 0; i < n; ++i) name_buf += current[i]->text;
+    return name_buf;
   };
   const auto flush_one = [&] {
     current = &ring_chosen[head * n];
-    cb(ring[head].key, ring[head].weight, materialize);
+    cb(ring[head].key, ring[head].weight, name);
     head = (head + 1) % kPipe;
     --count;
   };
@@ -352,7 +356,8 @@ void ShapeOptions::EnumerateUnionKeyed(uint64_t min_weight,
              // per position, no byte streaming. Literal merging does not
              // change the canonical byte stream (merged literals render as
              // the concatenation of their parts), so folding the raw choices
-             // equals PatternKey of the materialized pattern.
+             // equals PatternKey of the merged pattern, just as
+             // concatenating their texts equals its ToString.
              uint64_t key = kPolySeed;
              for (const Option* o : chosen) {
                key = key * o->key_mul + o->key_add;

@@ -1,7 +1,6 @@
 #include "pattern/pattern.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/hash.h"
 
@@ -9,7 +8,7 @@ namespace av {
 
 namespace {
 
-const char* AtomTag(AtomKind k) {
+[[gnu::always_inline]] inline std::string_view AtomTag(AtomKind k) {
   switch (k) {
     case AtomKind::kLiteral:
       return "";
@@ -44,44 +43,72 @@ bool IsFixKind(AtomKind k) {
          k == AtomKind::kUpperFix;
 }
 
+/// The one renderer of an atom's canonical bytes: feeds them, in order, to
+/// `put(char)`. ToString appends them to a string; AtomKeyCoeffs folds them
+/// into its hash map without allocating. A literal renders byte by byte, so
+/// adjacent literals render as the concatenation of their parts. Forced
+/// inline, like AtomTag: FMDV keys every hypothesis through AtomKeyCoeffs,
+/// and out-of-line calls there made PatternKey ~20% slower.
+template <class Put>
+[[gnu::always_inline]] inline void RenderAtom(const Atom& a, const Put& put) {
+  const auto put_str = [&put](std::string_view s) {
+    for (const char c : s) put(c);
+  };
+  switch (a.kind) {
+    case AtomKind::kLiteral:
+      for (const char c : a.lit) {
+        if (c == '<' || c == '\\') put('\\');
+        put(c);
+      }
+      break;
+    case AtomKind::kDigitsFix:
+    case AtomKind::kLettersFix:
+    case AtomKind::kLowerFix:
+    case AtomKind::kUpperFix:
+    case AtomKind::kAlnumFix: {
+      put('<');
+      put_str(AtomTag(a.kind));
+      put('>');
+      put('{');
+      // Decimal digits of a.len, most significant first.
+      char digits[10];
+      int n = 0;
+      uint32_t len = a.len;
+      do {
+        digits[n++] = static_cast<char>('0' + len % 10);
+        len /= 10;
+      } while (len != 0);
+      while (n > 0) put(digits[--n]);
+      put('}');
+      break;
+    }
+    case AtomKind::kNum:
+      put_str("<num>");
+      break;
+    case AtomKind::kDigitsVar:
+    case AtomKind::kLettersVar:
+    case AtomKind::kLowerVar:
+    case AtomKind::kUpperVar:
+    case AtomKind::kAlnumVar:
+    case AtomKind::kOtherVar:
+    case AtomKind::kAnyVar:
+      put('<');
+      put_str(AtomTag(a.kind));
+      put('>');
+      put('+');
+      break;
+  }
+}
+
 }  // namespace
+
+void AppendAtomText(const Atom& a, std::string* out) {
+  RenderAtom(a, [out](char c) { out->push_back(c); });
+}
 
 std::string Pattern::ToString() const {
   std::string out;
-  for (const Atom& a : atoms_) {
-    switch (a.kind) {
-      case AtomKind::kLiteral:
-        for (char c : a.lit) {
-          if (c == '<' || c == '\\') out.push_back('\\');
-          out.push_back(c);
-        }
-        break;
-      case AtomKind::kDigitsFix:
-      case AtomKind::kLettersFix:
-      case AtomKind::kLowerFix:
-      case AtomKind::kUpperFix:
-      case AtomKind::kAlnumFix: {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "<%s>{%u}", AtomTag(a.kind), a.len);
-        out += buf;
-        break;
-      }
-      case AtomKind::kNum:
-        out += "<num>";
-        break;
-      case AtomKind::kDigitsVar:
-      case AtomKind::kLettersVar:
-      case AtomKind::kLowerVar:
-      case AtomKind::kUpperVar:
-      case AtomKind::kAlnumVar:
-      case AtomKind::kOtherVar:
-      case AtomKind::kAnyVar:
-        out += "<";
-        out += AtomTag(a.kind);
-        out += ">+";
-        break;
-    }
-  }
+  for (const Atom& a : atoms_) AppendAtomText(a, &out);
   return out;
 }
 
@@ -233,60 +260,14 @@ int Pattern::SpecificityScore() const {
 }
 
 void AtomKeyCoeffs(const Atom& a, uint64_t* mul, uint64_t* add) {
-  // Streams the atom's canonical bytes, accumulating the affine map
-  // (m, v): folding the bytes into a hash state h yields h * m + v.
+  // Folds the atom's canonical bytes into the affine map (m, v): folding
+  // them into a hash state h yields h * m + v.
   uint64_t m = 1;
   uint64_t v = 0;
-  const auto feed = [&m, &v](char c) {
+  RenderAtom(a, [&m, &v](char c) {
     m *= kPolyMul;
     v = v * kPolyMul + static_cast<unsigned char>(c);
-  };
-  const auto feed_str = [&feed](const char* s) {
-    while (*s != '\0') feed(*s++);
-  };
-  switch (a.kind) {
-    case AtomKind::kLiteral:
-      for (char c : a.lit) {
-        if (c == '<' || c == '\\') feed('\\');
-        feed(c);
-      }
-      break;
-    case AtomKind::kDigitsFix:
-    case AtomKind::kLettersFix:
-    case AtomKind::kLowerFix:
-    case AtomKind::kUpperFix:
-    case AtomKind::kAlnumFix: {
-      feed('<');
-      feed_str(AtomTag(a.kind));
-      feed('>');
-      feed('{');
-      // Decimal digits of a.len, most significant first (same as "%u").
-      char digits[10];
-      int n = 0;
-      uint32_t len = a.len;
-      do {
-        digits[n++] = static_cast<char>('0' + len % 10);
-        len /= 10;
-      } while (len != 0);
-      while (n > 0) feed(digits[--n]);
-      feed('}');
-      break;
-    }
-    case AtomKind::kNum:
-      feed_str("<num>");
-      break;
-    case AtomKind::kDigitsVar:
-    case AtomKind::kLettersVar:
-    case AtomKind::kLowerVar:
-    case AtomKind::kUpperVar:
-    case AtomKind::kAlnumVar:
-    case AtomKind::kOtherVar:
-    case AtomKind::kAnyVar:
-      feed('<');
-      feed_str(AtomTag(a.kind));
-      feed_str(">+");
-      break;
-  }
+  });
   *mul = m;
   *add = v;
 }

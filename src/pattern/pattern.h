@@ -103,6 +103,11 @@ uint64_t PatternHash(const Pattern& p);
 /// string form.
 uint64_t PatternKey(const Pattern& p);
 
+/// Appends atom `a`'s canonical string-form bytes to `out`; a pattern's
+/// ToString is the concatenation of its atoms' texts. Enumerators render
+/// each candidate atom once and name patterns by concatenating the texts.
+void AppendAtomText(const Atom& a, std::string* out);
+
 /// The affine map of one atom's canonical string-form bytes under the
 /// polynomial hash: folding atom `a` into state h is `h * mul + add`, and
 /// PatternKey(p) == folding all atoms starting from kPolySeed. Exposed so

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
+#include "common/hash.h"
+#include "lakegen/lakegen.h"
 #include "pattern/matcher.h"
 
 namespace av {
@@ -213,6 +216,48 @@ TEST(UnionEnumerationTest, RespectsPatternBudget) {
   options.EnumerateUnion(1, 7, [&](Pattern&&, uint64_t) { ++emitted; });
   EXPECT_LE(emitted, 7u);
   EXPECT_GT(emitted, 0u);
+}
+
+TEST(UnionEnumerationTest, KeyedNamesEqualMaterializedPatterns) {
+  // The keyed enumeration names each pattern by concatenating precomputed
+  // atom texts; over every column of a seeded lake its (key, name, weight)
+  // stream must equal materializing each pattern and calling ToString.
+  const Corpus corpus = GenerateLake(EnterpriseLakeConfig(40, 3));
+  const GeneralizeConfig cfg;
+  using Emission = std::tuple<uint64_t, std::string, uint64_t>;
+  size_t checked = 0;
+  for (const Column* column : corpus.AllColumns()) {
+    const ColumnProfile profile = ColumnProfile::Build(column->values, cfg);
+    const uint64_t min_weight = std::max<uint64_t>(
+        cfg.min_cover_values,
+        static_cast<uint64_t>(cfg.coverage_frac *
+                              static_cast<double>(profile.total_weight())));
+    for (const ShapeGroup& group : profile.shapes()) {
+      if (group.over_token_limit) continue;
+      ShapeOptions options(profile, group, cfg);
+      std::vector<Emission> keyed;
+      options.EnumerateUnionKeyed(
+          min_weight, cfg.max_patterns_per_column,
+          [&](uint64_t key, uint64_t weight, const auto& name) {
+            keyed.emplace_back(key, std::string(name()), weight);
+          });
+      std::vector<Emission> materialized;
+      options.EnumerateUnion(
+          min_weight, cfg.max_patterns_per_column,
+          [&](Pattern&& p, uint64_t weight) {
+            materialized.emplace_back(PatternKey(p), p.ToString(), weight);
+          });
+      ASSERT_EQ(keyed, materialized) << column->name;
+      for (const auto& [key, name, weight] : keyed) {
+        EXPECT_EQ(PolyHash64(name), key) << name;
+        auto parsed = Pattern::Parse(name);
+        ASSERT_TRUE(parsed.ok()) << name;
+        EXPECT_EQ(parsed->ToString(), name);
+      }
+      checked += keyed.size();
+    }
+  }
+  EXPECT_GT(checked, 1000u);
 }
 
 TEST(HypothesisRangeTest, SubRangeEnumeratesSegmentPatterns) {

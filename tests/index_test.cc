@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <new>
 #include <sstream>
 #include <utility>
@@ -33,12 +34,30 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
+// The array and nothrow forms are replaced too (the index's name arenas
+// allocate arrays, std::stable_sort takes nothrow buffers): sanitizer
+// runtimes intercept the default ones directly, which would bypass the
+// count and pair their allocations with the free() below.
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  if (g_count_allocs) g_alloc_bytes += n;
+  return std::malloc(n != 0 ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
 // GCC flags free() on memory from operator new even when operator new is
 // this malloc-backed replacement.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 #pragma GCC diagnostic pop
 
 namespace av {
@@ -227,6 +246,136 @@ TEST(PatternIndexTest, LoadRejectsBadEntryHeadersBeforeAllocating) {
     EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << c.what;
     EXPECT_LT(g_alloc_bytes, 64u * 1024) << c.what;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Collision checks: two names forged onto one key must never merge silently.
+
+/// A key shared by the forged names "alpha" and "beta" below.
+constexpr uint64_t kForgedKey = 0x3c0ffee000000042ULL;
+
+TEST(PatternIndexDeathTest, AddKeyedSampledCheckCatchesCollision) {
+  // The sampled check runs on the 256th insertion of a key.
+  PatternIndex idx;
+  for (int i = 0; i < 255; ++i) {
+    idx.AddKeyed(kForgedKey, 0.5, [] { return std::string("alpha"); });
+  }
+  EXPECT_DEATH(
+      idx.AddKeyed(kForgedKey, 0.5, [] { return std::string("beta"); }),
+      "key collision");
+}
+
+TEST(PatternIndexDeathTest, InsertAggregateCatchesCollision) {
+  PatternIndex idx;
+  idx.InsertAggregate(kForgedKey, "alpha", 0.5, 2);
+  idx.InsertAggregate(kForgedKey, "alpha", 0.5, 2);  // same name: merges
+  EXPECT_EQ(idx.Lookup(kForgedKey)->coverage, 4u);
+  EXPECT_DEATH(idx.InsertAggregate(kForgedKey, "beta", 0.5, 2),
+               "key collision");
+}
+
+TEST(PatternIndexDeathTest, MergeShardFromCatchesCollision) {
+  // Two chunk indexes name one key differently; the reduce compares the
+  // names of every duplicate key it merges, however few columns it has.
+  PatternIndex chunk0;
+  PatternIndex chunk1;
+  chunk0.AddKeyed(kForgedKey, 0.5, [] { return std::string("alpha"); });
+  chunk1.AddKeyed(kForgedKey, 0.5, [] { return std::string("beta"); });
+  const size_t shard = kForgedKey >> 60;  // the key's shard (top bits)
+  PatternIndex global;
+  global.MergeShardFrom(shard, &chunk0);  // adopts chunk 0's shard
+  EXPECT_DEATH(global.MergeShardFrom(shard, &chunk1), "key collision");
+}
+
+/// One on-disk entry with a real name and the given key.
+std::string NamedEntryBytes(uint64_t key, std::string_view name,
+                            double sum_impurity, uint32_t columns) {
+  std::string e;
+  const uint32_t len = static_cast<uint32_t>(name.size());
+  e.append(reinterpret_cast<const char*>(&key), sizeof(key));
+  e.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  e.append(name);
+  e.append(reinterpret_cast<const char*>(&sum_impurity), sizeof(sum_impurity));
+  e.append(reinterpret_cast<const char*>(&columns), sizeof(columns));
+  return e;
+}
+
+TEST(PatternIndexTest, LoadRejectsKeyNameMismatch) {
+  const std::string good =
+      NamedEntryBytes(PolyHash64("alpha"), "alpha", 0.5, 2);
+  ASSERT_TRUE(PatternIndex::LoadFromBuffer(IndexImage(1, good)).ok());
+  // The second entry claims alpha's key under another name.
+  const std::string forged =
+      NamedEntryBytes(PolyHash64("alpha"), "beta", 0.5, 2);
+  auto loaded = PatternIndex::LoadFromBuffer(IndexImage(2, good + forged));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+// ---------------------------------------------------------------------------
+// Name storage: names live in per-shard arenas, viewed from the slots, and
+// must survive every way an index changes hands.
+
+/// Distinct names long enough that each shard's arena spans several blocks.
+std::string ArenaName(size_t i) {
+  return "<digit>{" + std::to_string(i) + "}-" + std::string(48, 'n');
+}
+constexpr size_t kArenaNames = 12000;
+
+PatternIndex ArenaIndex(size_t begin, size_t end) {
+  PatternIndex idx;
+  for (size_t i = begin; i < end; ++i) idx.Add(ArenaName(i), 0.25);
+  return idx;
+}
+
+void ExpectNamesIntact(const PatternIndex& idx, size_t begin, size_t end) {
+  ASSERT_EQ(idx.size(), end - begin);
+  for (size_t i = begin; i < end; ++i) {
+    const std::string want = ArenaName(i);
+    const auto name = idx.LookupName(PolyHash64(want));
+    ASSERT_TRUE(name.has_value()) << want;
+    ASSERT_EQ(*name, want);
+  }
+  size_t seen = 0;
+  idx.ForEach([&](const std::string& name, const PatternIndex::Entry&) {
+    ASSERT_TRUE(idx.Lookup(name).has_value()) << name;
+    ++seen;
+  });
+  EXPECT_EQ(seen, end - begin);
+}
+
+TEST(PatternIndexTest, NamesSurviveAdoptingMerge) {
+  PatternIndex global;
+  {
+    PatternIndex chunk = ArenaIndex(0, kArenaNames);
+    global.MergeFrom(std::move(chunk));
+    EXPECT_EQ(chunk.size(), 0u);
+  }  // the source is destroyed
+  ExpectNamesIntact(global, 0, kArenaNames);
+}
+
+TEST(PatternIndexTest, NamesSurviveCopyingMerge) {
+  PatternIndex global = ArenaIndex(0, kArenaNames / 2);
+  {
+    // Overlaps half of `global`'s keys, so both the new-name copy and the
+    // duplicate-key compare run.
+    PatternIndex chunk = ArenaIndex(kArenaNames / 4, kArenaNames);
+    global.MergeFrom(std::move(chunk));
+    EXPECT_EQ(chunk.size(), 0u);
+  }
+  ExpectNamesIntact(global, 0, kArenaNames);
+  EXPECT_EQ(global.Lookup(ArenaName(kArenaNames / 3))->coverage, 2u);
+  EXPECT_EQ(global.Lookup(ArenaName(kArenaNames - 1))->coverage, 1u);
+}
+
+TEST(PatternIndexTest, NamesSurviveMoves) {
+  auto source = std::make_unique<PatternIndex>(ArenaIndex(0, kArenaNames));
+  PatternIndex moved(std::move(*source));
+  source.reset();
+  ExpectNamesIntact(moved, 0, kArenaNames);
+  PatternIndex assigned = ArenaIndex(0, 10);  // its own arena is released
+  assigned = std::move(moved);
+  ExpectNamesIntact(assigned, 0, kArenaNames);
 }
 
 // Golden byte-identity of the saved AVIDX003 payload (the bytes before the

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/hash.h"
+
 namespace av {
 namespace {
 
@@ -14,6 +20,50 @@ TEST(PatternTest, ToStringBasicAtoms) {
 TEST(PatternTest, ToStringEscapesSpecials) {
   Pattern p({Atom::Literal("a<b\\c")});
   EXPECT_EQ(p.ToString(), "a\\<b\\\\c");
+}
+
+TEST(PatternTest, ToStringRendersEveryAtomKind) {
+  // One renderer feeds both ToString and the key fold, so each atom's text
+  // is pinned here together with PatternKey == PolyHash64(text).
+  const struct {
+    Atom atom;
+    const char* text;
+  } cases[] = {
+      {Atom::Literal("a<b\\c<<"), "a\\<b\\\\c\\<\\<"},
+      {Atom::Literal("\\"), "\\\\"},
+      {Atom::Literal(""), ""},
+      {Atom::Fixed(AtomKind::kDigitsFix, 0), "<digit>{0}"},
+      {Atom::Fixed(AtomKind::kDigitsFix, 9), "<digit>{9}"},
+      {Atom::Fixed(AtomKind::kDigitsFix, 10), "<digit>{10}"},
+      {Atom::Fixed(AtomKind::kDigitsFix, UINT32_MAX), "<digit>{4294967295}"},
+      {Atom::Var(AtomKind::kDigitsVar), "<digit>+"},
+      {Atom::Var(AtomKind::kNum), "<num>"},
+      {Atom::Fixed(AtomKind::kLettersFix, 3), "<letter>{3}"},
+      {Atom::Var(AtomKind::kLettersVar), "<letter>+"},
+      {Atom::Fixed(AtomKind::kAlnumFix, 8), "<alnum>{8}"},
+      {Atom::Var(AtomKind::kAlnumVar), "<alnum>+"},
+      {Atom::Var(AtomKind::kOtherVar), "<other>+"},
+      {Atom::Var(AtomKind::kAnyVar), "<any>+"},
+      {Atom::Fixed(AtomKind::kLowerFix, 2), "<lower>{2}"},
+      {Atom::Var(AtomKind::kLowerVar), "<lower>+"},
+      {Atom::Fixed(AtomKind::kUpperFix, 4), "<upper>{4}"},
+      {Atom::Var(AtomKind::kUpperVar), "<upper>+"},
+  };
+  std::string all;
+  std::vector<Atom> atoms;
+  for (const auto& c : cases) {
+    const Pattern p({c.atom});
+    EXPECT_EQ(p.ToString(), c.text);
+    EXPECT_EQ(PatternKey(p), PolyHash64(c.text)) << c.text;
+    std::string appended = "x";
+    AppendAtomText(c.atom, &appended);
+    EXPECT_EQ(appended, std::string("x") + c.text);
+    all += c.text;
+    atoms.push_back(c.atom);
+  }
+  const Pattern whole(atoms);
+  EXPECT_EQ(whole.ToString(), all);
+  EXPECT_EQ(PatternKey(whole), PolyHash64(all));
 }
 
 TEST(PatternTest, ParseRoundTripsAllKinds) {

@@ -445,7 +445,15 @@ TEST_F(ServerTest, DrainDuringConcurrentTrafficAnswersEverything) {
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Drain only once traffic flows: on a loaded host a fixed sleep could
+  // start the drain before any client connects. The deadline bounds the
+  // wait if no client is ever answered (the assertion below then fails).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (answered.load(std::memory_order_relaxed) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   server_->RequestDrain();
   for (auto& t : threads) t.join();
   server_->Join();
