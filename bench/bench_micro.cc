@@ -16,7 +16,6 @@
 #include "pattern/generalize.h"
 #include "pattern/hierarchy.h"
 #include "pattern/matcher.h"
-#include "pattern/simd/token_simd.h"
 #include "server/client.h"
 #include "server/server.h"
 
@@ -50,8 +49,8 @@ void BM_TokenCount(benchmark::State& state) {
 }
 BENCHMARK(BM_TokenCount);
 
-/// A value mix with long alphanumeric runs (GUIDs, hex ids, words) where the
-/// SWAR word-at-a-time path matters; items/sec counts values tokenized.
+/// A value mix with long alphanumeric runs (GUIDs, hex ids, words) next to
+/// short date fields; items/sec counts values tokenized.
 std::vector<std::string> TokenizeBenchColumn() {
   Rng rng(7);
   std::vector<std::string> values;
@@ -90,30 +89,7 @@ void BM_TokenizeMixedColumn(benchmark::State& state) {
 }
 BENCHMARK(BM_TokenizeMixedColumn);
 
-/// Per-arm variants of the two tokenizer hot paths, registered as
-/// BM_TokenizeMixedColumn_<arm> / BM_TokenCountMixedColumn_<arm> for every
-/// dispatch arm this machine can run (see docs/BENCHMARKING.md for how the
-/// SIMD arms are judged). Each forces its arm for the timed loop and
-/// restores the previously active one after.
-void TokenizeMixedColumnArm(benchmark::State& state, simd::TokenizerArm arm) {
-  const simd::TokenizerArm prev = simd::TokenizerDispatch();
-  simd::SetTokenizerArm(arm);
-  const std::vector<std::string> values = TokenizeBenchColumn();
-  std::vector<Token> buf;
-  for (auto _ : state) {
-    for (const auto& v : values) {
-      TokenizeInto(v, &buf);
-      benchmark::DoNotOptimize(buf.data());
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(values.size()));
-  simd::SetTokenizerArm(prev);
-}
-
-void TokenCountMixedColumnArm(benchmark::State& state, simd::TokenizerArm arm) {
-  const simd::TokenizerArm prev = simd::TokenizerDispatch();
-  simd::SetTokenizerArm(arm);
+void BM_TokenCountMixedColumn(benchmark::State& state) {
   const std::vector<std::string> values = TokenizeBenchColumn();
   for (auto _ : state) {
     size_t total = 0;
@@ -122,29 +98,8 @@ void TokenCountMixedColumnArm(benchmark::State& state, simd::TokenizerArm arm) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(values.size()));
-  simd::SetTokenizerArm(prev);
 }
-
-// Records the arm the dispatcher picks here (AV_SIMD honored) in the JSON
-// context, so a saved run says which tokenizer kernel it measured.
-const bool g_arm_context_added = [] {
-  benchmark::AddCustomContext(
-      "tokenizer_arm", simd::TokenizerArmName(simd::TokenizerDispatch()));
-  return true;
-}();
-
-const bool g_arm_benches_registered = [] {
-  for (const simd::TokenizerArm arm : simd::AvailableTokenizerArms()) {
-    const std::string suffix = simd::TokenizerArmName(arm);
-    benchmark::RegisterBenchmark(
-        ("BM_TokenizeMixedColumn_" + suffix).c_str(),
-        [arm](benchmark::State& s) { TokenizeMixedColumnArm(s, arm); });
-    benchmark::RegisterBenchmark(
-        ("BM_TokenCountMixedColumn_" + suffix).c_str(),
-        [arm](benchmark::State& s) { TokenCountMixedColumnArm(s, arm); });
-  }
-  return true;
-}();
+BENCHMARK(BM_TokenCountMixedColumn);
 
 void BM_Match(benchmark::State& state) {
   const Pattern p = *Pattern::Parse(

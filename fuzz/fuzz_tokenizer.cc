@@ -1,10 +1,9 @@
-// Fuzz target for the dispatch-layered tokenizer: arbitrary bytes as one
-// value, tokenized under EVERY dispatch arm this machine can run, each
+// Fuzz target for the tokenizer: arbitrary bytes as one value, the token
 // stream cross-checked against an in-harness per-byte reference scanner
 // (an independent copy, not the library's — a shared bug cannot hide).
 // Also pins TokenCount == stream length and that tokens tile the input
-// with no gaps or overlaps on every arm. Any divergence aborts, so
-// libFuzzer minimizes the offending value.
+// with no gaps or overlaps. Any divergence aborts, so libFuzzer minimizes
+// the offending value.
 //
 // Build with -DAV_FUZZ=ON; under clang this is a libFuzzer binary, under
 // gcc it links fuzz/standalone_driver.cc and replays files given as args.
@@ -14,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "pattern/simd/token_simd.h"
 #include "pattern/token.h"
 
 namespace {
@@ -61,10 +59,9 @@ std::vector<av::Token> ReferenceTokenize(std::string_view value) {
   return out;
 }
 
-[[noreturn]] void Die(const char* what, av::simd::TokenizerArm arm,
-                      std::string_view value) {
-  std::fprintf(stderr, "tokenizer divergence: %s on arm %s (value %zu bytes)\n",
-               what, av::simd::TokenizerArmName(arm), value.size());
+[[noreturn]] void Die(const char* what, std::string_view value) {
+  std::fprintf(stderr, "tokenizer divergence: %s (value %zu bytes)\n", what,
+               value.size());
   std::abort();
 }
 
@@ -74,20 +71,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string_view value(reinterpret_cast<const char*>(data), size);
   const std::vector<av::Token> expect = ReferenceTokenize(value);
 
-  static const std::vector<av::simd::TokenizerArm> arms =
-      av::simd::AvailableTokenizerArms();
   std::vector<av::Token> got;
-  for (const av::simd::TokenizerArm arm : arms) {
-    if (!av::simd::SetTokenizerArm(arm)) Die("SetTokenizerArm", arm, value);
-    av::TokenizeInto(value, &got);
-    if (got != expect) Die("token stream", arm, value);
-    if (av::TokenCount(value) != expect.size()) Die("TokenCount", arm, value);
-    uint32_t pos = 0;
-    for (const av::Token& t : got) {
-      if (t.begin != pos || t.len == 0) Die("coverage", arm, value);
-      pos += t.len;
-    }
-    if (pos != value.size()) Die("coverage end", arm, value);
+  av::TokenizeInto(value, &got);
+  if (got != expect) Die("token stream", value);
+  if (av::TokenCount(value) != expect.size()) Die("TokenCount", value);
+  uint32_t pos = 0;
+  for (const av::Token& t : got) {
+    if (t.begin != pos || t.len == 0) Die("coverage", value);
+    pos += t.len;
   }
+  if (pos != value.size()) Die("coverage end", value);
   return 0;
 }

@@ -122,15 +122,7 @@ int main(int argc, char** argv) {
       if (!writer.Append(e).ok()) return 1;
     }
     if (!writer.Finish().ok()) return 1;
-    const std::string v2 = Slurp(tmp);
-    WriteFile(root + "/spill/small_v2.avspill", v2);
-    // Previous AVSPILL01 layout: count in the header instead of at the end
-    // of the payload, no trailer.
-    const std::string payload = StripTrailer(v2);
-    const std::string entries = payload.substr(9, payload.size() - 9 - 8);
-    const std::string count = payload.substr(payload.size() - 8);
-    WriteFile(root + "/spill/small_v1.avspill",
-              "AVSPILL01" + count + entries);
+    WriteFile(root + "/spill/small_v2.avspill", Slurp(tmp));
   }
 
   // ------------------------------------------------------------- frame
@@ -176,8 +168,8 @@ int main(int argc, char** argv) {
 
   // --------------------------------------------------------- tokenizer
   // fuzz_tokenizer input: the raw value bytes. Seeds cover each run class,
-  // the 8-byte SWAR switch, block-kernel seams at 16/32/64 bytes, and
-  // non-ASCII runs straddling those seams.
+  // long runs with class changes at 8/16/32/64-byte offsets, and non-ASCII
+  // runs straddling those offsets.
   {
     WriteFile(root + "/tokenizer/date.txt", "9/12/2019 12:01:32 PM");
     WriteFile(root + "/tokenizer/guid.txt",

@@ -5,9 +5,22 @@
 
 #include "common/durable_file.h"
 #include "corpus/format.h"
-#include "pattern/simd/token_simd.h"
 
 namespace av {
+
+namespace {
+
+/// Index of the first byte of `p[0,n)` equal to any of set[0..3], or `n`.
+/// Needles may repeat (pass the same byte four times to search for one).
+size_t FindAnyOf4(const char* p, size_t n, const unsigned char set[4]) {
+  for (size_t i = 0; i < n; ++i) {
+    const unsigned char c = static_cast<unsigned char>(p[i]);
+    if (c == set[0] || c == set[1] || c == set[2] || c == set[3]) return i;
+  }
+  return n;
+}
+
+}  // namespace
 
 void IncrementalCsvParser::EndField() {
   row_.push_back(std::move(field_));
@@ -85,21 +98,20 @@ void IncrementalCsvParser::Feed(std::string_view bytes) {
   }
   // Bulk path: between structural bytes the parser only ever appends, so
   // scan ahead for the next byte that can change state (sep/quote/CR/LF in
-  // the unquoted state, '"' alone inside quotes) with the dispatch-selected
-  // multi-needle kernel, append the clean span in one go, and run just the
-  // structural byte through the per-byte state machine. quote_pending_
-  // resolves on a single byte and stays per-byte. Row/field boundaries and
-  // buffered_ accounting are identical to the pure per-byte walk (pinned by
-  // the cross-arm test in corpus_test.cc).
-  const simd::FindAnyOf4Fn find4 = simd::ActiveTokenizerKernels().find_any4;
+  // the unquoted state, '"' alone inside quotes), append the clean span in
+  // one go, and run just the structural byte through the per-byte state
+  // machine. quote_pending_ resolves on a single byte and stays per-byte.
+  // Row/field boundaries and buffered_ accounting are identical to the pure
+  // per-byte walk whatever the slicing of the input (pinned by the
+  // slice-invariance test in corpus_test.cc).
   const unsigned char plain_set[4] = {static_cast<unsigned char>(sep_), '"',
                                       '\n', '\r'};
   static constexpr unsigned char kQuoteSet[4] = {'"', '"', '"', '"'};
   while (i < bytes.size()) {
     if (!quote_pending_) {
       const char* p = bytes.data() + i;
-      const size_t len = find4(p, bytes.size() - i,
-                               in_quotes_ ? kQuoteSet : plain_set);
+      const size_t len = FindAnyOf4(p, bytes.size() - i,
+                                    in_quotes_ ? kQuoteSet : plain_set);
       if (len > 0) {
         field_.append(p, len);
         buffered_ += len;

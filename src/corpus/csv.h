@@ -31,11 +31,9 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(std::string_view text,
 /// document size. `peak_buffered_bytes` is that high-water mark — the
 /// slurp-regression test pins it.
 ///
-/// Feed scans for the next structural byte (separator/quote/newline) with
-/// the tokenizer's dispatch-selected multi-needle kernel (SWAR/SSE/AVX2,
-/// see pattern/simd/token_simd.h) and appends clean spans in bulk; only
-/// structural bytes run through the per-byte state machine. Rows and
-/// residency accounting are byte-identical across dispatch arms.
+/// Feed scans ahead for the next structural byte (separator/quote/newline)
+/// and appends clean spans in bulk; only structural bytes run through the
+/// per-byte state machine.
 class IncrementalCsvParser {
  public:
   explicit IncrementalCsvParser(char sep = ',') : sep_(sep) {}

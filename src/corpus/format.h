@@ -96,9 +96,9 @@ Result<Table> LoadLakeTable(const LakeFileInfo& info,
                             CsvStreamStats* csv_stats = nullptr);
 
 /// Streams the columns of every lake file under a directory through the
-/// format registry, loading one file at a time — the mixed-format
-/// generalization of the old CsvDirColumnReader, with the same full-chunk
-/// contract (see corpus/column_reader.h).
+/// format registry, loading one file at a time, under the full-chunk
+/// contract of corpus/column_reader.h. Forcing LakeFormat::kCsv reads a
+/// plain CSV directory.
 class LakeDirColumnReader : public ColumnReader {
  public:
   /// Lists + detects up front (cheap); file contents load lazily.

@@ -81,7 +81,7 @@ struct IndexerReport {
   uint64_t spill_bytes = 0;     ///< bytes of the initial chunk runs
   size_t merge_passes = 0;      ///< intermediate merge passes (0 = one pass)
   /// Peak bytes of simultaneously-resident completed chunk indexes, sampled
-  /// at chunk completion (streaming builds only; 0 = not tracked).
+  /// at chunk completion.
   uint64_t peak_chunk_index_bytes = 0;
   /// True when a requested out-of-core build failed and the job silently
   /// fell back to the in-memory path (strict_spill off); the failure that
@@ -90,12 +90,12 @@ struct IndexerReport {
   std::string spill_fallback_error;
 };
 
-/// Runs the offline scan over every column of `corpus`. With
-/// `cfg.build.memory_budget_bytes` set, takes the out-of-core path; if that
-/// path fails (e.g. no writable spill directory) the behavior depends on
-/// `cfg.build.strict_spill`: off (default) warns on stderr, falls back to
-/// the in-memory build and records the fallback in the report; on makes the
-/// failure a hard error.
+/// Runs the offline scan over every column of `corpus`: BuildIndexStreaming
+/// over a CorpusColumnReader. With `cfg.build.memory_budget_bytes` set,
+/// takes the out-of-core path; if that path fails (e.g. no writable spill
+/// directory) the behavior depends on `cfg.build.strict_spill`: off
+/// (default) warns on stderr, falls back to the in-memory build and records
+/// the fallback in the report; on makes the failure a hard error.
 Result<PatternIndex> TryBuildIndex(const Corpus& corpus,
                                    const IndexerConfig& cfg,
                                    IndexerReport* report = nullptr);

@@ -19,14 +19,13 @@
 // seeking back. Cursors verify the whole-payload checksum at Open before
 // any entry is parsed, and still validate every entry individually (a
 // checksum only proves the file is what the writer wrote, not that the
-// writer was ours). Old untrailed AVSPILL01 runs (count in the header)
-// remain readable.
+// writer was ours). Runs live only inside one build's temporary directory,
+// so no reader meets a run of an older format; only AVSPILL02 is read.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <functional>
-#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -79,7 +78,7 @@ Result<uint64_t> WriteSpillRun(const PatternIndex& chunk,
 /// size-clamped entry count; Next validates every entry (length cap, key ==
 /// PolyHash64(name), strictly ascending names, truncation / region overrun)
 /// — a corrupt or truncated run is rejected with kCorruption, never
-/// half-read. Untrailed AVSPILL01 runs are still accepted (read-compat).
+/// half-read.
 class SpillRunCursor {
  public:
   Status Open(const std::string& path);
@@ -95,9 +94,8 @@ class SpillRunCursor {
 
  private:
   /// Shared tail of Open/OpenBuffer once `in_` points at the stream.
-  /// `payload_len` is the trailer-verified payload size for AVSPILL02 input
-  /// (nullopt for v1 / unverified — v2 then fails as corrupt).
-  Status OpenStream(uint64_t file_bytes, std::optional<uint64_t> payload_len);
+  /// `payload_len` is the trailer-verified payload size.
+  Status OpenStream(uint64_t payload_len);
 
   std::ifstream file_;
   std::istringstream mem_;

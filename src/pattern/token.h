@@ -13,20 +13,14 @@
 // row's segment happens to be all-digits. The paper's <alphanum> level of the
 // generalization hierarchy covers exactly this case.
 //
-// Implementation: runtime-dispatched (pattern/simd/token_simd.h). On CPUs
-// with SSSE3/AVX2 a block kernel classifies 16/32 bytes at once into
-// digit/letter/non-ASCII bitmasks (pshufb nibble lookup over the
-// TokenClassTable contract) and run boundaries fall out of mask bit-scans;
-// elsewhere — and for values too short to fill a block — a single-pass run
-// scanner steps short runs (up to 8 bytes, the common case in machine
-// data) through a predicted compare chain and switches runs that survive 8
-// bytes to a SWAR word-at-a-time path. The 256-entry TokenClassTable is
-// the canonical byte-classification contract (the property tests' oracle
-// and the bit vocabulary of every kernel), not the hot-path mechanism. The
-// counting-only TokenCount folds each mask window into three popcounts
-// instead of materializing tokens. All dispatch arms produce byte-identical
-// token streams (property-tested per arm in token_test.cc and cross-checked
-// by fuzz/fuzz_tokenizer.cc); AV_SIMD=scalar|swar|sse2|avx2 forces an arm.
+// Implementation: one scalar pass (token.cc, ScanTokens) walks the value
+// with a per-byte compare chain and hands each run to a sink. TokenizeAppend
+// materializes the runs; TokenCount only counts them. There is no SIMD or
+// word-at-a-time variant: on the index build and the serving path the
+// tokenizer is a few percent of the time, and block kernels measured no
+// end-to-end gain over this loop. token_test.cc holds the scanner to a
+// separate reference implementation, and fuzz/fuzz_tokenizer.cc does the
+// same on arbitrary bytes.
 #pragma once
 
 #include <cstdint>
@@ -47,24 +41,6 @@ enum class TokenClass : uint8_t {
 };
 
 const char* TokenClassName(TokenClass c);
-
-/// The 256-entry byte-class table driving the tokenizer. Chunk bytes carry
-/// kDigit / kLetter (the OR over a run is the chunk class: kDigit alone ->
-/// kDigits, kLetter alone -> kLetters, both -> kAlnum), non-ASCII bytes
-/// carry kOther, and a zero entry marks a symbol byte.
-struct TokenClassTable {
-  static constexpr uint8_t kDigit = 1;   ///< byte is [0-9]
-  static constexpr uint8_t kLetter = 2;  ///< byte is [A-Za-z]
-  static constexpr uint8_t kChunk = kDigit | kLetter;
-  static constexpr uint8_t kOther = 4;  ///< byte is >= 0x80
-
-  uint8_t bits[256];
-
-  constexpr uint8_t operator[](unsigned char c) const { return bits[c]; }
-};
-
-/// The table instance (constant-initialized; shared by all scanners).
-extern const TokenClassTable kTokenClassTable;
 
 /// One token: a view (offset + length) into the tokenized value.
 struct Token {

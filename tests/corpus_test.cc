@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "corpus/csv.h"
 #include "corpus/inverted_index.h"
-#include "pattern/simd/token_simd.h"
 
 namespace av {
 namespace {
@@ -120,14 +119,16 @@ TEST(CsvTest, LoadMissingDirFails) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
-// The incremental parser's Feed bulk-scans clean spans with the tokenizer's
-// dispatch-selected find_any4 kernel; rows, the Finish status and the
-// residency high-water mark must be byte-identical on every arm and for
-// every way the document is sliced across Feed calls (structural bytes
-// landing on slice boundaries are the fragile case).
-TEST(CsvTest, IncrementalParseIsArmAndSliceInvariant) {
+// The incremental parser's Feed bulk-scans clean spans between structural
+// bytes; rows, the Finish status and the residency high-water mark must not
+// depend on how the document is sliced across Feed calls (structural bytes
+// landing on slice boundaries are the fragile case). Each document is fed
+// twice with the same drain points: once in random slices, and once with
+// every slice split into one-byte Feeds, which leaves the bulk scan nothing
+// to skip. buffered_ only grows inside a slice, so both walks must reach
+// the same peak.
+TEST(CsvTest, IncrementalParseIsSliceInvariant) {
   Rng rng(20260808);
-  const simd::TokenizerArm prev = simd::TokenizerDispatch();
   for (int iter = 0; iter < 60; ++iter) {
     // Random document: quoted fields with escapes/newlines, CRLF rows,
     // empty fields, an occasional BOM, no final newline sometimes.
@@ -158,8 +159,6 @@ TEST(CsvTest, IncrementalParseIsArmAndSliceInvariant) {
     }
     if (rng.Below(4) == 0) doc.pop_back();  // drop the final newline
 
-    // One slicing shared by every arm: peak_buffered_bytes depends on where
-    // drains fall, so only identical Feed boundaries make it comparable.
     std::vector<size_t> slices;
     for (size_t pos = 0; pos < doc.size();) {
       const size_t len = std::min(doc.size() - pos, 1 + rng.Below(23));
@@ -167,42 +166,41 @@ TEST(CsvTest, IncrementalParseIsArmAndSliceInvariant) {
       pos += len;
     }
 
-    std::vector<std::vector<std::string>> want_rows;
-    size_t want_peak = 0;
-    bool first = true;
-    for (const simd::TokenizerArm arm : simd::AvailableTokenizerArms()) {
-      ASSERT_TRUE(simd::SetTokenizerArm(arm));
+    struct Parsed {
+      std::vector<std::vector<std::string>> rows;
+      size_t peak = 0;
+    };
+    const auto parse = [&](bool bytewise) {
+      Parsed out;
       IncrementalCsvParser parser;
-      // Feed in the precomputed slices so structural bytes land on
-      // boundaries — identically for every arm.
       size_t pos = 0;
-      std::vector<std::vector<std::string>> got_rows;
       std::vector<std::string> row;
       for (const size_t len : slices) {
-        parser.Feed(std::string_view(doc).substr(pos, len));
+        const std::string_view slice = std::string_view(doc).substr(pos, len);
+        if (bytewise) {
+          for (size_t i = 0; i < slice.size(); ++i) {
+            parser.Feed(slice.substr(i, 1));
+          }
+        } else {
+          parser.Feed(slice);
+        }
         pos += len;
         // Draining mid-parse must not change the result.
-        while (parser.NextRow(&row)) got_rows.push_back(std::move(row));
+        while (parser.NextRow(&row)) out.rows.push_back(std::move(row));
       }
-      ASSERT_TRUE(parser.Finish().ok()) << "iter " << iter;
-      while (parser.NextRow(&row)) got_rows.push_back(std::move(row));
-      if (first) {
-        first = false;
-        want_rows = got_rows;
-        want_peak = parser.peak_buffered_bytes();
-        // Anchor against the one-shot parse of the same document.
-        auto oneshot = ParseCsv(doc);
-        ASSERT_TRUE(oneshot.ok());
-        EXPECT_EQ(got_rows, *oneshot) << "iter " << iter;
-      } else {
-        EXPECT_EQ(got_rows, want_rows)
-            << "iter " << iter << " arm " << simd::TokenizerArmName(arm);
-        EXPECT_EQ(parser.peak_buffered_bytes(), want_peak)
-            << "iter " << iter << " arm " << simd::TokenizerArmName(arm);
-      }
-    }
+      EXPECT_TRUE(parser.Finish().ok()) << "iter " << iter;
+      while (parser.NextRow(&row)) out.rows.push_back(std::move(row));
+      out.peak = parser.peak_buffered_bytes();
+      return out;
+    };
+    const Parsed sliced = parse(/*bytewise=*/false);
+    const Parsed bytewise = parse(/*bytewise=*/true);
+    auto oneshot = ParseCsv(doc);
+    ASSERT_TRUE(oneshot.ok());
+    EXPECT_EQ(sliced.rows, *oneshot) << "iter " << iter;
+    EXPECT_EQ(bytewise.rows, *oneshot) << "iter " << iter;
+    EXPECT_EQ(sliced.peak, bytewise.peak) << "iter " << iter;
   }
-  ASSERT_TRUE(simd::SetTokenizerArm(prev));
 }
 
 TEST(InvertedIndexTest, FindsOverlappingColumns) {

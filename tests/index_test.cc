@@ -14,6 +14,8 @@
 
 #include "common/durable_file.h"
 #include "common/hash.h"
+#include "common/temp_file.h"
+#include "core/validation_service.h"
 #include "common/rng.h"
 #include "lakegen/lakegen.h"
 
@@ -431,6 +433,62 @@ TEST(IndexerTest, SavedIndexBytesMatchGolden) {
     EXPECT_EQ(payload.size(), c.size);
     EXPECT_EQ(PolyHash64(payload), c.hash);
   }
+}
+
+// Golden pins for what the index feeds downstream, recorded the same way:
+// the saved AVRULESET2 payload (trailer excluded) of three columns trained
+// on the first table of the EnterpriseLakeConfig(60, 7) lake, indexed with
+// 2 threads, and the validation report of the table's first column
+// (size_mb_0, not a trained column) with one non-conforming value appended,
+// checked against the first trained rule (iso_date_0's), so every value is
+// flagged and the report pins drift detection. The tokenizer, the index, FMDV and the
+// matcher all sit under these bytes, so a change anywhere in that stack that
+// alters what is trained or flagged fails here. Re-record only for a change
+// that is meant to alter rules or reports, and say so in the PR.
+TEST(IndexerTest, SavedRuleSetAndReportMatchGolden) {
+  const Corpus corpus = GenerateLake(EnterpriseLakeConfig(60, 7));
+  IndexerConfig icfg;
+  icfg.num_threads = 2;
+  const PatternIndex index = BuildIndex(corpus, icfg);
+
+  AutoValidateOptions opts;
+  opts.min_coverage = 3;
+  opts.fpr_target = 0.1;
+  ValidationService service(&index, opts, 1);
+  const Table& table = corpus.tables().front();
+  size_t trained = 0;
+  for (const Column& col : table.columns) {
+    if (col.values.empty()) continue;
+    if (service.Train("col" + std::to_string(trained), col.values).ok()) {
+      ++trained;
+    }
+    if (trained == 3) break;
+  }
+  ASSERT_EQ(trained, 3u);
+
+  auto dir = ScopedTempDir::Create();
+  ASSERT_TRUE(dir.ok());
+  const std::string rules_path = dir->path() + "/rules.avrs";
+  ASSERT_TRUE(service.Save(rules_path).ok());
+  auto file = ReadFileToString(rules_path);
+  ASSERT_TRUE(file.ok());
+  auto payload_len = VerifyTrailer(*file);
+  ASSERT_TRUE(payload_len.ok()) << payload_len.status().message();
+  const std::string_view payload(file->data(), *payload_len);
+  EXPECT_EQ(payload.size(), 447u);
+  EXPECT_EQ(PolyHash64(payload), 0xff5c7cee4c45ce7aULL);
+
+  std::vector<std::string> batch = table.columns.front().values;
+  batch.push_back("definitely !! not ?? conforming \xc3\xa9");
+  auto report = service.Validate("col0", batch);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_EQ(report->total, 411u);
+  EXPECT_EQ(report->nonconforming, 411u);
+  EXPECT_DOUBLE_EQ(report->p_value, 2.5704046122051283e-246);
+  EXPECT_TRUE(report->flagged);
+  EXPECT_EQ(report->sample_violations,
+            (std::vector<std::string>{"9615 MB", "6916 MB", "9688 MB",
+                                      "1182 MB", "4615 MB"}));
 }
 
 TEST(IndexerTest, IndexColumnEmitsConsistentImpurity) {

@@ -1,8 +1,9 @@
 // Cross-format persistence robustness: crash-shaped damage (truncation at
 // every offset) must always be rejected with kCorruption/kIOError — never a
-// crash, never a half-load; the previous untrailed formats (AVIDX002,
-// AVRULESET1, AVSPILL01) stay readable; and a FAILED save must leave the
-// previously saved file untouched (the regression behind the old
+// crash, never a half-load; the previous untrailed index and rule-set
+// formats (AVIDX002, AVRULESET1) stay readable, while spill runs, which
+// never outlive one build, accept only AVSPILL02; and a FAILED save must
+// leave the previously saved file untouched (the regression behind the old
 // ValidationService::Save, which opened the target with std::ios::trunc and
 // destroyed the old rule set before writing a byte of the new one).
 #include <gtest/gtest.h>
@@ -178,7 +179,10 @@ TEST(PersistenceTest, RuleSetReadsPreviousUntrailedFormat) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kCorruption);
 }
 
-TEST(PersistenceTest, SpillReadsPreviousUntrailedFormat) {
+// Spill runs are written and read inside one build's temporary directory,
+// so the reader knows only AVSPILL02: the previous untrailed AVSPILL01
+// layout is corrupt input like any other.
+TEST(PersistenceTest, SpillRejectsPreviousUntrailedFormat) {
   const std::string v2 = GoldenSpillBytes();
   auto payload_len = VerifyTrailer(v2);
   ASSERT_TRUE(payload_len.ok());
@@ -186,20 +190,10 @@ TEST(PersistenceTest, SpillReadsPreviousUntrailedFormat) {
   const std::string payload = v2.substr(0, *payload_len);
   const std::string entries = payload.substr(9, payload.size() - 9 - 8);
   const std::string count = payload.substr(payload.size() - 8);
-  std::string v1 = "AVSPILL01" + count + entries;
+  const std::string v1 = "AVSPILL01" + count + entries;
 
   SpillRunCursor cursor;
-  ASSERT_TRUE(cursor.OpenBuffer(v1).ok());
-  std::vector<std::string> names;
-  Status st = Status::OK();
-  while (st.ok() && cursor.valid()) {
-    names.push_back(cursor.entry().name);
-    st = cursor.Next();
-  }
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(names,
-            (std::vector<std::string>{"<digit>+", "<letter>+",
-                                      "Mar <digit>{2}"}));
+  EXPECT_EQ(cursor.OpenBuffer(v1).code(), StatusCode::kCorruption);
 
   // Modern magic without its trailer: rejected.
   EXPECT_EQ(DrainSpill(payload).code(), StatusCode::kCorruption);

@@ -18,6 +18,7 @@
 #include "common/temp_file.h"
 #include "corpus/column_reader.h"
 #include "corpus/csv.h"
+#include "corpus/format.h"
 #include "index/indexer.h"
 #include "lakegen/lakegen.h"
 #include "tests/test_util.h"
@@ -286,7 +287,7 @@ TEST(SpillBuildTest, CsvStreamedSpillBuildMatchesInMemoryBuild) {
 
   IndexerConfig spill_cfg = cfg;
   spill_cfg.build.memory_budget_bytes = 4u << 20;
-  auto reader = CsvDirColumnReader::Open(csv_dir.path());
+  auto reader = LakeDirColumnReader::Open(csv_dir.path(), LakeFormat::kCsv);
   ASSERT_TRUE(reader.ok());
   IndexerReport report;
   auto streamed = BuildIndexStreaming(*reader, spill_cfg, &report);
@@ -414,7 +415,6 @@ TEST(ColumnReaderTest, CorpusReaderYieldsFullChunksInCorpusOrder) {
   const Corpus corpus = testutil::SmallLake(100, 21);
   const auto all = corpus.AllColumns();
   CorpusColumnReader reader(corpus);
-  EXPECT_EQ(reader.TotalColumnsHint(), all.size());
   std::vector<const Column*> seen;
   while (true) {
     auto chunk = reader.NextChunk(7);
@@ -438,7 +438,7 @@ TEST(ColumnReaderTest, CsvDirReaderMatchesLoadCorpusFromDir) {
   ASSERT_TRUE(loaded.ok());
   const auto all = loaded->AllColumns();
 
-  auto reader = CsvDirColumnReader::Open(dir.path());
+  auto reader = LakeDirColumnReader::Open(dir.path(), LakeFormat::kCsv);
   ASSERT_TRUE(reader.ok());
   size_t i = 0;
   std::vector<ColumnChunk> live;  // keep owners alive across the whole read
@@ -464,7 +464,7 @@ TEST(ColumnReaderTest, ChunkOwnerOutlivesReaderAdvance) {
   const Corpus lake = testutil::SmallLake(40, 29);
   ScopedTempDir dir = MakeTempDir();
   ASSERT_TRUE(SaveCorpusToDir(lake, dir.path()).ok());
-  auto reader = CsvDirColumnReader::Open(dir.path());
+  auto reader = LakeDirColumnReader::Open(dir.path(), LakeFormat::kCsv);
   ASSERT_TRUE(reader.ok());
   auto first = reader->NextChunk(5);
   ASSERT_TRUE(first.ok());
@@ -483,7 +483,8 @@ TEST(ColumnReaderTest, ChunkOwnerOutlivesReaderAdvance) {
 }
 
 TEST(ColumnReaderTest, OpenRejectsMissingDirectory) {
-  auto reader = CsvDirColumnReader::Open("/definitely/not/here");
+  auto reader =
+      LakeDirColumnReader::Open("/definitely/not/here", LakeFormat::kCsv);
   EXPECT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kNotFound);
 }

@@ -2,34 +2,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 
 #include "common/rng.h"
-#include "pattern/simd/token_simd.h"
 #include "pattern/token_arena.h"
 
 namespace av {
 namespace {
 
-/// Runs `fn` once per dispatch arm available on this machine/build, with
-/// that arm forced; restores the previously active arm on scope exit. The
-/// equivalence suites below run under this so every kernel — not just the
-/// one the resolver would pick — is held to the reference scanner.
-template <typename Fn>
-void ForEachArm(const Fn& fn) {
-  const simd::TokenizerArm prev = simd::TokenizerDispatch();
-  for (const simd::TokenizerArm arm : simd::AvailableTokenizerArms()) {
-    ASSERT_TRUE(simd::SetTokenizerArm(arm));
-    fn(arm);
-  }
-  ASSERT_TRUE(simd::SetTokenizerArm(prev));
-}
-
 // ---------------------------------------------------------------------------
 // Reference scanner: a verbatim copy of the original per-character
-// branch-chain tokenizer, kept here as the specification the class-table /
-// SWAR scanner must reproduce byte-for-byte.
+// branch-chain tokenizer, kept here as the specification the scanner in
+// token.cc must reproduce byte-for-byte.
 
 bool RefIsAsciiDigit(unsigned char c) { return c >= '0' && c <= '9'; }
 bool RefIsAsciiLetter(unsigned char c) {
@@ -78,16 +62,11 @@ std::vector<Token> ReferenceTokenize(std::string_view value) {
 
 void ExpectMatchesReference(std::string_view v) {
   const std::vector<Token> expect = ReferenceTokenize(v);
-  ForEachArm([&](simd::TokenizerArm arm) {
-    EXPECT_EQ(Tokenize(v), expect)
-        << "arm: " << simd::TokenizerArmName(arm) << " value: " << v;
-    EXPECT_EQ(TokenCount(v), expect.size())
-        << "arm: " << simd::TokenizerArmName(arm) << " value: " << v;
-    std::vector<Token> into = {Token{TokenClass::kSymbol, 9, 9}};  // stale
-    TokenizeInto(v, &into);
-    EXPECT_EQ(into, expect)
-        << "arm: " << simd::TokenizerArmName(arm) << " value: " << v;
-  });
+  EXPECT_EQ(Tokenize(v), expect) << "value: " << v;
+  EXPECT_EQ(TokenCount(v), expect.size()) << "value: " << v;
+  std::vector<Token> into = {Token{TokenClass::kSymbol, 9, 9}};  // stale
+  TokenizeInto(v, &into);
+  EXPECT_EQ(into, expect) << "value: " << v;
 }
 
 std::vector<std::string> Texts(std::string_view v) {
@@ -182,21 +161,6 @@ TEST(ShapeKeyTest, GuidRowsShareShape) {
             key("12345678-1234-1234-1234-123456789012"));
 }
 
-TEST(TokenClassTableTest, MatchesScalarClassifier) {
-  for (int c = 0; c < 256; ++c) {
-    const uint8_t bits = kTokenClassTable[static_cast<unsigned char>(c)];
-    if (RefIsAsciiDigit(static_cast<unsigned char>(c))) {
-      EXPECT_EQ(bits, TokenClassTable::kDigit) << c;
-    } else if (RefIsAsciiLetter(static_cast<unsigned char>(c))) {
-      EXPECT_EQ(bits, TokenClassTable::kLetter) << c;
-    } else if (c >= 0x80) {
-      EXPECT_EQ(bits, TokenClassTable::kOther) << c;
-    } else {
-      EXPECT_EQ(bits, 0) << c;  // symbol
-    }
-  }
-}
-
 TEST(TokenizeEquivalenceTest, HandPickedBoundaryValues) {
   const std::vector<std::string> values = {
       "",
@@ -206,11 +170,11 @@ TEST(TokenizeEquivalenceTest, HandPickedBoundaryValues) {
       "a\x7f\x80z",                 // boundary sandwich
       std::string(1, '\0'),         // NUL is a symbol
       "9/12/2019 12:01:32 PM",
-      "abcdefghijklmnopqrstuvwxyz0123456789",  // long alnum run (SWAR path)
+      "abcdefghijklmnopqrstuvwxyz0123456789",  // long alnum run
       "ABCDEFG-1234567890123456789012345678901234567890",
       std::string(64, 'x'),
       std::string(64, '7'),
-      std::string(64, '\xc3'),      // long non-ASCII run (SWAR path)
+      std::string(64, '\xc3'),      // long non-ASCII run
       "caf\xc3\xa9 cr\xc3\xa8me",   // UTF-8 mixed with ASCII
       "abcdefg\x80hijklmn",         // non-ASCII byte mid-word
       "abcdefgh\tij",               // symbol exactly at word boundary
@@ -334,167 +298,6 @@ TEST(ShapeKeyTest, MarkerRangeSymbolsKeepDistinctIdentities) {
   // ... while ordinary same-skeleton values still group.
   EXPECT_EQ(key("a\x01z"), key("q\x01"
                                "7"));
-}
-
-// ---------------------------------------------------------------------------
-// Kernel-level properties: every compiled block-classify and find_any4
-// kernel must agree with the per-byte TokenClassTable walk on arbitrary
-// blocks, including every length 1..64 (the seam/tail logic is where SIMD
-// kernels rot).
-
-TEST(SimdKernelTest, BlockClassifyMatchesScalarOnRandomBlocks) {
-  Rng rng(20260808);
-  for (int iter = 0; iter < 2000; ++iter) {
-    const size_t len = 1 + rng.Below(64);
-    std::string block;
-    for (size_t i = 0; i < len; ++i) {
-      // Byte soup biased toward class boundaries.
-      const uint64_t r = rng.Below(4);
-      block.push_back(r == 0 ? static_cast<char>(rng.Below(256))
-                             : static_cast<char>("09azAZ@[`{\x7f\x80"[rng.Below(12)]));
-    }
-    simd::BlockMasks want;
-    simd::BlockClassifyScalar(block.data(), block.size(), &want);
-    for (const simd::TokenizerArm arm : simd::AvailableTokenizerArms()) {
-      const simd::BlockClassifyFn classify =
-          simd::SetTokenizerArm(arm)
-              ? simd::ActiveTokenizerKernels().classify
-              : nullptr;
-      if (classify == nullptr) continue;  // scalar/SWAR arms: no block kernel
-      simd::BlockMasks got;
-      classify(block.data(), block.size(), &got);
-      EXPECT_EQ(got.digit, want.digit) << simd::TokenizerArmName(arm);
-      EXPECT_EQ(got.letter, want.letter) << simd::TokenizerArmName(arm);
-      EXPECT_EQ(got.nonascii, want.nonascii) << simd::TokenizerArmName(arm);
-    }
-  }
-  simd::SetTokenizerArm(simd::ResolveTokenizerArmFromEnv());
-}
-
-TEST(SimdKernelTest, BlockClassifyEveryLengthEveryByteClass) {
-  // Exhaustive over (length, homogeneous byte): catches off-by-one tail
-  // handling at every block seam.
-  for (size_t len = 1; len <= 64; ++len) {
-    for (const unsigned char c :
-         {'0', '9', 'a', 'z', 'A', 'Z', ' ', '/', '\x7f', '\x80', '\xff'}) {
-      const std::string block(len, static_cast<char>(c));
-      simd::BlockMasks want;
-      simd::BlockClassifyScalar(block.data(), len, &want);
-      for (const simd::TokenizerArm arm : simd::AvailableTokenizerArms()) {
-        ASSERT_TRUE(simd::SetTokenizerArm(arm));
-        const simd::BlockClassifyFn classify =
-            simd::ActiveTokenizerKernels().classify;
-        if (classify == nullptr) continue;
-        simd::BlockMasks got;
-        classify(block.data(), len, &got);
-        EXPECT_EQ(got.digit, want.digit)
-            << simd::TokenizerArmName(arm) << " len=" << len << " c=" << int(c);
-        EXPECT_EQ(got.letter, want.letter)
-            << simd::TokenizerArmName(arm) << " len=" << len << " c=" << int(c);
-        EXPECT_EQ(got.nonascii, want.nonascii)
-            << simd::TokenizerArmName(arm) << " len=" << len << " c=" << int(c);
-      }
-    }
-  }
-  simd::SetTokenizerArm(simd::ResolveTokenizerArmFromEnv());
-}
-
-TEST(SimdKernelTest, FindAnyOf4AgreesAcrossArms) {
-  Rng rng(777);
-  for (int iter = 0; iter < 2000; ++iter) {
-    const size_t len = rng.Below(130);
-    std::string hay;
-    for (size_t i = 0; i < len; ++i) {
-      hay.push_back(static_cast<char>('a' + rng.Below(8)));
-    }
-    unsigned char set[4];
-    for (unsigned char& c : set) {
-      // Mostly misses, occasionally a needle present in the haystack, and
-      // sometimes duplicate needles (the single-needle calling convention).
-      c = rng.Below(3) == 0 ? static_cast<unsigned char>('a' + rng.Below(8))
-                            : static_cast<unsigned char>(rng.Below(256));
-    }
-    const size_t want = simd::FindAnyOf4Scalar(hay.data(), hay.size(), set);
-    EXPECT_EQ(simd::FindAnyOf4Swar(hay.data(), hay.size(), set), want);
-    for (const simd::TokenizerArm arm : simd::AvailableTokenizerArms()) {
-      ASSERT_TRUE(simd::SetTokenizerArm(arm));
-      EXPECT_EQ(simd::ActiveTokenizerKernels().find_any4(hay.data(),
-                                                         hay.size(), set),
-                want)
-          << simd::TokenizerArmName(arm);
-    }
-  }
-  simd::SetTokenizerArm(simd::ResolveTokenizerArmFromEnv());
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch behavior.
-
-TEST(SimdDispatchTest, ScalarAndSwarAlwaysAvailable) {
-  EXPECT_TRUE(simd::TokenizerArmAvailable(simd::TokenizerArm::kScalar));
-  EXPECT_TRUE(simd::TokenizerArmAvailable(simd::TokenizerArm::kSwar));
-  const auto arms = simd::AvailableTokenizerArms();
-  EXPECT_GE(arms.size(), 2u);
-}
-
-TEST(SimdDispatchTest, SetTokenizerArmSwitchesAndReportsUnavailable) {
-  const simd::TokenizerArm prev = simd::TokenizerDispatch();
-  for (const simd::TokenizerArm arm : simd::AvailableTokenizerArms()) {
-    ASSERT_TRUE(simd::SetTokenizerArm(arm));
-    EXPECT_EQ(simd::TokenizerDispatch(), arm);
-    EXPECT_EQ(simd::ActiveTokenizerKernels().arm, arm);
-  }
-  if (!simd::TokenizerArmAvailable(simd::TokenizerArm::kAvx2)) {
-    ASSERT_TRUE(simd::SetTokenizerArm(simd::TokenizerArm::kSwar));
-    EXPECT_FALSE(simd::SetTokenizerArm(simd::TokenizerArm::kAvx2));
-    EXPECT_EQ(simd::TokenizerDispatch(), simd::TokenizerArm::kSwar)
-        << "failed SetTokenizerArm must leave the active arm unchanged";
-  }
-  ASSERT_TRUE(simd::SetTokenizerArm(prev));
-}
-
-TEST(SimdDispatchTest, ParseTokenizerArmVocabulary) {
-  simd::TokenizerArm arm;
-  ASSERT_TRUE(simd::ParseTokenizerArm("scalar", &arm));
-  EXPECT_EQ(arm, simd::TokenizerArm::kScalar);
-  ASSERT_TRUE(simd::ParseTokenizerArm("swar", &arm));
-  EXPECT_EQ(arm, simd::TokenizerArm::kSwar);
-  ASSERT_TRUE(simd::ParseTokenizerArm("sse2", &arm));
-  EXPECT_EQ(arm, simd::TokenizerArm::kSse2);
-  ASSERT_TRUE(simd::ParseTokenizerArm("ssse3", &arm));  // honest alias
-  EXPECT_EQ(arm, simd::TokenizerArm::kSse2);
-  ASSERT_TRUE(simd::ParseTokenizerArm("avx2", &arm));
-  EXPECT_EQ(arm, simd::TokenizerArm::kAvx2);
-  EXPECT_FALSE(simd::ParseTokenizerArm("", &arm));
-  EXPECT_FALSE(simd::ParseTokenizerArm("AVX2", &arm));
-  EXPECT_FALSE(simd::ParseTokenizerArm("sse4", &arm));
-}
-
-// CI's per-arm jobs run the suite as `AV_SIMD=<arm> AV_SIMD_REQUIRE=<arm>`:
-// this test hard-fails the build when the resolver does not deliver the arm
-// the job demanded (e.g. the kernel TU silently fell out of the build and
-// dispatch became unreachable dead code). Without AV_SIMD_REQUIRE it still
-// pins that the env resolver honors AV_SIMD when it names an available arm.
-TEST(SimdDispatchTest, RequiredArmIsActive) {
-  if (const char* req = std::getenv("AV_SIMD_REQUIRE")) {
-    simd::TokenizerArm want;
-    ASSERT_TRUE(simd::ParseTokenizerArm(req, &want))
-        << "AV_SIMD_REQUIRE=" << req << " is not an arm name";
-    ASSERT_TRUE(simd::TokenizerArmAvailable(want))
-        << "AV_SIMD_REQUIRE=" << req
-        << " demanded an arm this build/CPU cannot deliver";
-    EXPECT_EQ(simd::ResolveTokenizerArmFromEnv(), want);
-    return;
-  }
-  const simd::TokenizerArm resolved = simd::ResolveTokenizerArmFromEnv();
-  EXPECT_TRUE(simd::TokenizerArmAvailable(resolved));
-  if (const char* env = std::getenv("AV_SIMD")) {
-    simd::TokenizerArm requested;
-    if (simd::ParseTokenizerArm(env, &requested) &&
-        simd::TokenizerArmAvailable(requested)) {
-      EXPECT_EQ(resolved, requested);
-    }
-  }
 }
 
 TEST(TokenizeTest, FuzzNeverCrashesAndCovers) {
