@@ -338,6 +338,36 @@ void BM_IndexLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexLookup);
 
+/// Index start-up as `avserved --index` pays it, minus the disk read:
+/// PatternIndex::Load of the fixture's saved index from the page cache
+/// (mapped, checksummed and inserted shard-parallel from kParallelMinRows
+/// entries).
+void BM_IndexLoad(benchmark::State& state) {
+  const auto& fx = TrainFixture::Get();
+  static const ScopedTempDir* dir = [] {
+    auto created = ScopedTempDir::Create();
+    if (!created.ok()) return static_cast<ScopedTempDir*>(nullptr);
+    return new ScopedTempDir(std::move(*created));  // lives for the run
+  }();
+  const std::string path = dir != nullptr ? dir->File("index.avidx") : "";
+  if (dir == nullptr || !fx.index.Save(path).ok()) {
+    state.SkipWithError("cannot save the fixture index");
+    return;
+  }
+  for (auto _ : state) {
+    auto loaded = PatternIndex::Load(path);
+    if (!loaded.ok()) {
+      state.SkipWithError(loaded.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(loaded->size());
+  }
+  state.counters["entries"] = static_cast<double>(fx.index.size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(fx.index.size()));
+}
+BENCHMARK(BM_IndexLoad)->UseRealTime();
+
 /// The FMDV hot path: probe by precomputed interned key (no string hashing).
 void BM_IndexLookupByKey(benchmark::State& state) {
   const auto& fx = TrainFixture::Get();

@@ -19,7 +19,7 @@ TMP_OFF150="$(mktemp)"
 TMP_OFF800="$(mktemp)"
 trap 'rm -f "$TMP_MICRO" "$TMP_OFF150" "$TMP_OFF800"' EXIT
 
-FILTER='BM_MatchColumnScalar|BM_MatchColumnBatched|BM_Match$|BM_Tokenize$|BM_TokenizeInto|BM_TokenCount|BM_TokenizeMixedColumn|BM_TokenizedColumnBuild|BM_PatternKey|BM_IndexLookup|BM_IndexLookupByKey|BM_IndexColumn|BM_BuildIndexSmall|BM_BuildIndexSpill|BM_TrainFmdv$|BM_ValidateColumn|BM_ValidateColumnView|BM_ServiceValidateThroughput|BM_ServiceValidateAll|BM_ServiceValidateNLoop|BM_ServiceValidateStreamLoop|BM_ServerRoundTrip|BM_ServerSaturation|BM_BuildIndexJsonl|BM_BuildIndexAvcol'
+FILTER='BM_MatchColumnScalar|BM_MatchColumnBatched|BM_Match$|BM_Tokenize$|BM_TokenizeInto|BM_TokenCount|BM_TokenizeMixedColumn|BM_TokenizedColumnBuild|BM_PatternKey|BM_IndexLookup|BM_IndexLookupByKey|BM_IndexLoad|BM_IndexColumn|BM_BuildIndexSmall|BM_BuildIndexSpill|BM_TrainFmdv$|BM_ValidateColumn|BM_ValidateColumnView|BM_ServiceValidateThroughput|BM_ServiceValidateAll|BM_ServiceValidateNLoop|BM_ServiceValidateStreamLoop|BM_ServerRoundTrip|BM_ServerSaturation|BM_BuildIndexJsonl|BM_BuildIndexAvcol'
 
 "$BUILD_DIR/bench_micro" \
   --benchmark_filter="$FILTER" \
@@ -31,7 +31,15 @@ FILTER='BM_MatchColumnScalar|BM_MatchColumnBatched|BM_Match$|BM_Tokenize$|BM_Tok
 "$BUILD_DIR/bench_offline_indexing" --columns=800 --seed=7 \
   --json="$TMP_OFF800" >/dev/null
 
-GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# The measured tree: HEAD, marked when the sources differ from it (a
+# snapshot regenerated before its change is committed).
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+GIT_REV="$(git -C "$ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [ -n "$(git -C "$ROOT" status --porcelain -- src bench CMakeLists.txt \
+           2>/dev/null)" ]
+then
+  GIT_REV="$GIT_REV+uncommitted"
+fi
 NPROC="$(nproc)"
 
 python3 - "$TMP_MICRO" "$TMP_OFF150" "$TMP_OFF800" "$OUT" "$GIT_REV" \

@@ -1,7 +1,7 @@
 // Fuzz target for PatternIndex deserialization: arbitrary bytes through
-// LoadFromBuffer (the exact code path behind PatternIndex::Load minus the
-// file slurp) must return kCorruption/kIOError or a fully-valid index —
-// never crash, hang, over-read, or half-load.
+// LoadFromBuffer (the loader behind PatternIndex::Load, over a copy of the
+// bytes instead of the file mapping) must return kCorruption/kIOError or a
+// fully-valid index — never crash, hang, over-read, or half-load.
 //
 // Build with -DAV_FUZZ=ON; under clang this is a libFuzzer binary, under
 // gcc it links fuzz/standalone_driver.cc and replays files given as args.
@@ -53,8 +53,8 @@ constexpr size_t kHeaderBytes = sizeof(kIndexMagic) + sizeof(uint64_t);
 extern "C" size_t LLVMFuzzerCustomMutator(uint8_t* data, size_t size,
                                           size_t max_size, unsigned int seed) {
   av::Rng rng(seed);
-  // Entries follow the header (either magic; the count is ignored — the
-  // mutation writes its own).
+  // Entries follow the header (the count is ignored — the mutation writes
+  // its own).
   const std::string_view payload = avfuzz::StripTrailer(
       std::string_view(reinterpret_cast<const char*>(data), size));
   std::vector<avfuzz::RawEntry> entries = avfuzz::ParseEntries(

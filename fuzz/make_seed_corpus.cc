@@ -1,13 +1,14 @@
 // Regenerates the checked-in fuzz seed corpora (fuzz/corpus/{index,ruleset,
 // spill,frame}/) from the real writers, so every seed is a well-formed file
-// of the current format plus one of the previous (read-compat) format. Run
-// from the repo root:
+// of the current format, plus one rule set in the previous (read-compat)
+// format. Run from the repo root:
 //
 //   ./build/make_seed_corpus fuzz/corpus
 //
 // The seeds are tiny on purpose — libFuzzer mutates fastest over small
 // inputs — but exercise every structural feature: multiple entries,
-// non-ASCII-free pattern strings, both magics, and the checksum trailer.
+// non-ASCII-free pattern strings, both rule-set magics, and the checksum
+// trailer.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -81,13 +82,7 @@ int main(int argc, char** argv) {
     idx.Add("Mar <digit>{2} <digit>{4}", 0.5);
     idx.Add("<letter>+", 1.0 / 3.0);
     if (!idx.Save(tmp).ok()) return 1;
-    const std::string v3 = Slurp(tmp);
-    WriteFile(root + "/index/small_v3.avidx", v3);
-    // The same content as the previous, untrailed AVIDX002 format: strip
-    // the trailer and regress the version byte.
-    std::string v2 = StripTrailer(v3);
-    v2[7] = '2';
-    WriteFile(root + "/index/small_v2.avidx", v2);
+    WriteFile(root + "/index/small_v3.avidx", Slurp(tmp));
     av::PatternIndex empty;
     if (!empty.Save(tmp).ok()) return 1;
     WriteFile(root + "/index/empty_v3.avidx", Slurp(tmp));

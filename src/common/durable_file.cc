@@ -10,8 +10,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "common/file_ops.h"
+#include "common/thread_pool.h"
 
 namespace av {
 
@@ -36,6 +38,28 @@ Status SyncParentDir(const std::string& path) {
     return Status::IOError(ErrnoMessage("cannot fsync dir", dir));
   }
   return Status::OK();
+}
+
+/// PolyHash64 of `data`, folded in one block per ParallelFor chunk of
+/// `pool` and joined in block order.
+uint64_t PolyHash64Blocks(std::string_view data, ThreadPool& pool) {
+  const size_t blocks = 4 * (pool.num_threads() + 1);
+  const size_t block_bytes = (data.size() + blocks - 1) / blocks;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+  const auto block_len = [&](size_t b) {
+    return std::min(data.size(), (b + 1) * block_bytes) -
+           std::min(data.size(), b * block_bytes);
+  };
+  std::vector<uint64_t> folds(blocks);
+  pool.ParallelFor(blocks, [&](size_t b) {
+    folds[b] = PolyFold(0, bytes + std::min(data.size(), b * block_bytes),
+                        block_len(b));
+  });
+  uint64_t h = kPolySeed;
+  for (size_t b = 0; b < blocks; ++b) {
+    h = PolyFoldJoin(h, folds[b], block_len(b));
+  }
+  return h;
 }
 
 }  // namespace
@@ -146,7 +170,7 @@ void DurableFileWriter::Abandon() {
   committed_ = true;
 }
 
-Result<uint64_t> VerifyTrailer(std::string_view data) {
+Result<uint64_t> VerifyTrailer(std::string_view data, ThreadPool* pool) {
   if (data.size() < kTrailerBytes) {
     return Status::Corruption("file too small for checksum trailer");
   }
@@ -161,7 +185,9 @@ Result<uint64_t> VerifyTrailer(std::string_view data) {
   if (len != data.size() - kTrailerBytes) {
     return Status::Corruption("checksum trailer length mismatch");
   }
-  if (PolyHash64(data.substr(0, len)) != digest) {
+  const std::string_view payload = data.substr(0, len);
+  if ((pool != nullptr ? PolyHash64Blocks(payload, *pool)
+                       : PolyHash64(payload)) != digest) {
     return Status::Corruption("payload checksum mismatch");
   }
   return len;

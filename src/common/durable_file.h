@@ -49,6 +49,8 @@
 
 namespace av {
 
+class ThreadPool;
+
 /// Trailing-frame magic ("AVTRAIL1") and total trailer size in bytes.
 inline constexpr char kTrailerMagic[8] = {'A', 'V', 'T', 'R', 'A', 'I', 'L',
                                           '1'};
@@ -147,7 +149,10 @@ class DurableFileWriter {
 /// Verifies the trailer frame of an in-memory file image. Returns the
 /// payload length (always `data.size() - 24` when OK); kCorruption when the
 /// frame is missing, truncated, inconsistent, or the checksum mismatches.
-Result<uint64_t> VerifyTrailer(std::string_view data);
+/// With a `pool`, the payload is hashed in blocks across it and the block
+/// folds are joined in order (PolyFoldJoin): the same digest, in parallel.
+Result<uint64_t> VerifyTrailer(std::string_view data,
+                               ThreadPool* pool = nullptr);
 
 /// Verifies the trailer frame of a file by streaming it (constant memory).
 /// kIOError when the file cannot be read, kCorruption as above.

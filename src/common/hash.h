@@ -49,6 +49,19 @@ inline uint64_t PolyFold(uint64_t h, const unsigned char* p, size_t n) {
   return h;
 }
 
+/// Joins the folds of two adjacent byte ranges a and b:
+/// PolyFoldJoin(PolyFold(h, a), PolyFold(0, b), |b|) == PolyFold(h, a‖b).
+/// The fold is affine in its start state (PolyFold(h, b) ==
+/// h·kPolyMul^|b| + PolyFold(0, b) mod 2^64), so the blocks of one buffer
+/// can be folded independently and joined in order with the exact result.
+inline uint64_t PolyFoldJoin(uint64_t ha, uint64_t hb, uint64_t b_len) {
+  uint64_t pow = 1;  // kPolyMul^b_len, by square-and-multiply
+  for (uint64_t base = kPolyMul; b_len != 0; b_len >>= 1, base *= base) {
+    if (b_len & 1) pow *= base;
+  }
+  return ha * pow + hb;
+}
+
 /// 64-bit polynomial hash of a byte string: PolyFold from kPolySeed.
 inline uint64_t PolyHash64(std::string_view s) {
   return PolyFold(kPolySeed, reinterpret_cast<const unsigned char*>(s.data()),

@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <cmath>
 
+#include <math.h>
+
 namespace av {
 
-double LogChoose(uint64_t n, uint64_t k) {
-  if (k > n) return -INFINITY;
-  return std::lgamma(static_cast<double>(n) + 1) -
-         std::lgamma(static_cast<double>(k) + 1) -
-         std::lgamma(static_cast<double>(n - k) + 1);
-}
-
 namespace {
+
+/// log|Gamma(x)|. The reentrant lgamma_r returns the sign through its
+/// argument; std::lgamma writes it to glibc's global `signgam`, a data race
+/// when FMDV trains several columns at once. The value is the same.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
 
 /// log-probability of a 2x2 table under the hypergeometric null with fixed
 /// margins (r1 = a+b, r2 = c+d, c1 = a+c).
@@ -22,6 +25,13 @@ double LogHypergeom(uint64_t a, uint64_t r1, uint64_t r2, uint64_t c1) {
 }
 
 }  // namespace
+
+double LogChoose(uint64_t n, uint64_t k) {
+  if (k > n) return -INFINITY;
+  return LogGamma(static_cast<double>(n) + 1) -
+         LogGamma(static_cast<double>(k) + 1) -
+         LogGamma(static_cast<double>(n - k) + 1);
+}
 
 double FisherExactTwoTailedP(uint64_t a, uint64_t b, uint64_t c, uint64_t d) {
   const uint64_t r1 = a + b;

@@ -1,9 +1,15 @@
 #include "index/pattern_index.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/durable_file.h"
@@ -24,10 +30,8 @@ void PatternIndex::CheckNoCollision(uint64_t key, std::string_view stored,
 }
 
 namespace {
-/// Current format: checksum-trailed, crash-safe writes (docs/FILE_FORMATS.md).
+/// The format: checksum-trailed, crash-safe writes (docs/FILE_FORMATS.md).
 constexpr char kMagic[8] = {'A', 'V', 'I', 'D', 'X', '0', '0', '3'};
-/// Previous format, still readable (identical payload, no trailer).
-constexpr char kMagicV2[8] = {'A', 'V', 'I', 'D', 'X', '0', '0', '2'};
 /// Smallest possible on-disk entry: key (8) + length (4) + empty string (0)
 /// + sum_impurity (8) + columns (4).
 constexpr uint64_t kMinEntryBytes = 24;
@@ -58,17 +62,26 @@ Status ReadEntryHeader(const char** p, const char* end, uint64_t* key,
 }
 }  // namespace
 
-void PatternIndex::InsertAggregate(uint64_t key, std::string_view name,
-                                   double sum_impurity, uint32_t columns) {
-  Shard& shard = ShardFor(key);
-  auto [slot, inserted] = shard.stats.TryEmplace(key);
-  if (inserted) {
-    shard.SetName(slot, name);
-  } else {
+void PatternIndex::Shard::InsertAggregate(uint64_t key, std::string_view name,
+                                          double sum_impurity,
+                                          uint32_t columns, bool in_image) {
+  auto [slot, inserted] = stats.TryEmplace(key);
+  if (!inserted) {
     CheckNoCollision(key, slot->name(), name);
+  } else if (in_image) {
+    slot->name_data = name.data();
+    slot->name_len = static_cast<uint32_t>(name.size());
+  } else {
+    SetName(slot, name);
   }
   slot->sum_impurity += sum_impurity;
   slot->columns += columns;
+}
+
+void PatternIndex::InsertAggregate(uint64_t key, std::string_view name,
+                                   double sum_impurity, uint32_t columns) {
+  ShardFor(key).InsertAggregate(key, name, sum_impurity, columns,
+                                /*in_image=*/false);
 }
 
 void PatternIndex::MergeFrom(PatternIndex&& other) {
@@ -79,8 +92,9 @@ void PatternIndex::MergeShardFrom(size_t shard, PatternIndex* other) {
   Shard& dst = shards_[shard];
   Shard& src = other->shards_[shard];
   if (dst.stats.empty() && dst.stats.capacity() == 0) {
-    // Not pre-reserved: adopt the source table and arena wholesale (the
-    // arena's blocks move with it, so the slots' name views stay valid).
+    // Not pre-reserved: adopt the source table, arena and image reference
+    // wholesale (the bytes they hold do not move, so the slots' name views
+    // stay valid).
     dst = std::move(src);
     src = Shard{};
     return;
@@ -103,7 +117,7 @@ void PatternIndex::MergeShardFrom(size_t shard, PatternIndex* other) {
         d->sum_impurity += s.sum_impurity;
         d->columns += s.columns;
       });
-  src = Shard{};  // release the consumed table and the source arena
+  src = Shard{};  // release the consumed table, arena and image reference
 }
 
 std::optional<PatternStats> PatternIndex::Lookup(uint64_t key) const {
@@ -229,7 +243,7 @@ void PatternIndex::ForEachSorted(
                       slot.sum_impurity});
     });
   }
-  if (num_threads != 1 && rows.size() >= kParallelSortMinRows) {
+  if (num_threads != 1 && rows.size() >= kParallelMinRows) {
     ThreadPool pool(num_threads);
     ParallelSort(rows, pool);
   } else {
@@ -268,9 +282,28 @@ Status PatternIndex::Save(const std::string& path) const {
 }
 
 Result<PatternIndex> PatternIndex::Load(const std::string& path) {
-  auto data = ReadFileToString(path);
-  if (!data.ok()) return data.status();
-  auto idx = LoadFromBuffer(*data);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open " + path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::IOError("not a readable regular file: " + path);
+  }
+  const size_t size = static_cast<size_t>(st.st_size);
+  std::shared_ptr<const char> image;
+  if (size > 0) {  // an empty file cannot be mapped; it fails the magic check
+    void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (addr == MAP_FAILED) {
+      ::close(fd);
+      return Status::IOError("cannot map " + path);
+    }
+    image.reset(static_cast<const char*>(addr), [size](const char* p) {
+      ::munmap(const_cast<char*>(p), size);
+    });
+  }
+  ::close(fd);
+  auto idx = LoadImage(std::string_view(image.get(), size),
+                       [&image] { return image; });
   if (!idx.ok()) {
     return Status(idx.status().code(), idx.status().message() + ": " + path);
   }
@@ -278,67 +311,100 @@ Result<PatternIndex> PatternIndex::Load(const std::string& path) {
 }
 
 Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
-  std::string_view payload = data;
-  if (data.size() >= sizeof(kMagic) &&
-      std::memcmp(data.data(), kMagic, sizeof(kMagic)) == 0) {
-    // AVIDX003: the trailer is mandatory and covers the whole payload, so a
-    // torn or bit-rotted file fails here before any entry is parsed.
-    auto len = VerifyTrailer(data);
-    if (!len.ok()) return len.status();
-    payload = data.substr(0, static_cast<size_t>(*len));
-  } else if (data.size() < sizeof(kMagicV2) ||
-             std::memcmp(data.data(), kMagicV2, sizeof(kMagicV2)) != 0) {
+  return LoadImage(data, [data] {
+    auto copy = std::make_shared_for_overwrite<char[]>(data.size());
+    std::memcpy(copy.get(), data.data(), data.size());
+    return std::shared_ptr<const char>(copy, copy.get());
+  });
+}
+
+Result<PatternIndex> PatternIndex::LoadImage(
+    std::string_view data,
+    const std::function<std::shared_ptr<const char>()>& keep) {
+  constexpr size_t kHeaderBytes = sizeof(kMagic) + sizeof(uint64_t);
+  if (data.size() < sizeof(kMagic) ||
+      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad index magic");
   }
-  // From here both versions share one payload layout: magic, count, entries.
-  const char* p = payload.data() + sizeof(kMagic);
-  const char* end = payload.data() + payload.size();
+  // The entry count picks inline or pooled work before the checksum has
+  // vouched for it, so only a count that the file's size allows starts a
+  // pool; the checksum and the size bound below then check it.
   uint64_t n = 0;
-  if (static_cast<size_t>(end - p) < sizeof(n)) {
+  if (data.size() >= kHeaderBytes) {
+    std::memcpy(&n, data.data() + sizeof(kMagic), sizeof(n));
+  }
+  std::optional<ThreadPool> pool;
+  if (n >= kParallelMinRows && data.size() >= kHeaderBytes + kTrailerBytes &&
+      n <= (data.size() - kHeaderBytes - kTrailerBytes) / kMinEntryBytes) {
+    pool.emplace(0);
+  }
+  // The trailer is mandatory and covers the whole payload, so a torn or
+  // bit-rotted file fails here before any entry is parsed.
+  auto payload_len = VerifyTrailer(data, pool ? &*pool : nullptr);
+  if (!payload_len.ok()) return payload_len.status();
+  const size_t payload = static_cast<size_t>(*payload_len);
+  if (payload < kHeaderBytes) {
     return Status::Corruption("truncated index header");
   }
-  std::memcpy(&n, p, sizeof(n));
-  p += sizeof(n);
   // A corrupt header cannot trigger an unbounded allocation: every entry
   // occupies at least kMinEntryBytes, so n is bounded by the payload size.
-  if (n > static_cast<uint64_t>(end - p) / kMinEntryBytes) {
+  if (n > (payload - kHeaderBytes) / kMinEntryBytes) {
     return Status::Corruption("entry count exceeds file size");
   }
-  // Pre-pass over the entry headers: bounds-check every entry and count
-  // keys and name bytes per shard, so each shard's table and arena are
-  // sized once for what they will hold and a malformed file is rejected
-  // before any of them is allocated.
-  std::array<size_t, kNumShards> shard_keys{};
-  std::array<size_t, kNumShards> shard_name_bytes{};
-  const char* q = p;
+  // Serial pre-pass over the entry headers: bounds-check every entry and
+  // bucket its offset by shard, so each shard can size its table once and
+  // insert its entries in file order, and a malformed file is rejected
+  // before any table is allocated.
+  std::array<std::vector<size_t>, kNumShards> shard_entries;
+  const char* const end = data.data() + payload;
+  const char* p = data.data() + kHeaderBytes;
   for (uint64_t i = 0; i < n; ++i) {
-    uint64_t key = 0;
-    uint32_t len = 0;
-    AV_RETURN_NOT_OK(ReadEntryHeader(&q, end, &key, &len));
-    q += len + kEntryTailBytes;
-    ++shard_keys[ShardOf(key)];
-    shard_name_bytes[ShardOf(key)] += len;
-  }
-  PatternIndex idx;
-  for (size_t s = 0; s < kNumShards; ++s) {
-    idx.ReserveShard(s, shard_keys[s]);
-    idx.shards_[s].names.Reserve(shard_name_bytes[s]);
-  }
-  for (uint64_t i = 0; i < n; ++i) {
+    const size_t offset = static_cast<size_t>(p - data.data());
     uint64_t key = 0;
     uint32_t len = 0;
     AV_RETURN_NOT_OK(ReadEntryHeader(&p, end, &key, &len));
-    Entry e;
-    const std::string_view name(p, len);
-    p += len;
-    std::memcpy(&e.sum_impurity, p, sizeof(e.sum_impurity));
-    p += sizeof(e.sum_impurity);
-    std::memcpy(&e.columns, p, sizeof(e.columns));
-    p += sizeof(e.columns);
-    if (key != PolyHash64(name)) {
-      return Status::Corruption("key/string mismatch in index");
+    p += len + kEntryTailBytes;
+    shard_entries[ShardOf(key)].push_back(offset);
+  }
+
+  std::shared_ptr<const char> image = keep();
+  PatternIndex idx;
+  std::array<Status, kNumShards> shard_status;
+  const auto load_shard = [&](size_t s) {
+    Shard& shard = idx.shards_[s];
+    shard.stats.reserve(shard_entries[s].size());
+    const char* const image_end = image.get() + payload;
+    for (const size_t offset : shard_entries[s]) {
+      // The header is read again, with its bounds, from the kept bytes:
+      // those are what the slots will view.
+      const char* q = image.get() + offset;
+      uint64_t key = 0;
+      uint32_t len = 0;
+      Status st = ReadEntryHeader(&q, image_end, &key, &len);
+      if (st.ok() && key != PolyHash64(std::string_view(q, len))) {
+        st = Status::Corruption("key/string mismatch in index");
+      }
+      if (!st.ok()) {
+        shard_status[s] = std::move(st);
+        return;
+      }
+      const std::string_view name(q, len);
+      Entry e;
+      std::memcpy(&e.sum_impurity, q + len, sizeof(e.sum_impurity));
+      std::memcpy(&e.columns, q + len + sizeof(e.sum_impurity),
+                  sizeof(e.columns));
+      shard.InsertAggregate(key, name, e.sum_impurity, e.columns,
+                            /*in_image=*/true);
     }
-    idx.InsertAggregate(key, name, e.sum_impurity, e.columns);
+    if (!shard_entries[s].empty()) shard.image = image;
+  };
+  if (pool) {
+    pool->ParallelFor(kNumShards, load_shard);
+  } else {
+    for (size_t s = 0; s < kNumShards; ++s) load_shard(s);
+  }
+  for (Status& st : shard_status) {
+    if (!st.ok()) return std::move(st);
   }
   return idx;
 }

@@ -5,16 +5,18 @@
 // Keying: entries are keyed on the canonical 64-bit interned pattern key
 // (PatternKey == PolyHash64 of the canonical string form), so the online
 // FMDV inner loop probes with an integer hash instead of materializing
-// pattern strings. The readable string form is stored once per entry, in an
-// append-only per-shard arena, and the entry's slot keeps a view of it next
-// to the statistics — one probe finds both. A name is written only on first
-// insertion of its key; reporting, the on-disk format and the collision
-// checks read it back. Key collisions (two patterns, one key) would silently
-// merge statistics, so the index aborts loudly on mismatch where names are
-// cheap to compare: MergeShardFrom checks every duplicate key it merges
-// (this covers the chunked BuildIndex reduce), InsertAggregate checks every
-// repeat (spill merges and loads), AddKeyed checks a sampled subset of
-// repeat insertions, and FMDV re-checks accepted hypotheses.
+// pattern strings. The readable string form is stored once per entry, and
+// the entry's slot keeps a view of it next to the statistics — one probe
+// finds both. A built index writes each name into an append-only per-shard
+// arena on first insertion of its key; a loaded index views the names where
+// they lie in the file image it holds. Reporting, the on-disk format and
+// the collision checks read them back. Key collisions (two patterns, one
+// key) would silently merge statistics, so the index aborts loudly on
+// mismatch where names are cheap to compare: MergeShardFrom checks every
+// duplicate key it merges (this covers the chunked BuildIndex reduce),
+// InsertAggregate checks every repeat (spill merges and loads), AddKeyed
+// checks a sampled subset of repeat insertions, and FMDV re-checks
+// accepted hypotheses.
 //
 // Sharding: the key space is split into kNumShards shards by the key's top
 // bits. Shards are independent, which lets the offline job's reduce phase
@@ -48,8 +50,8 @@ struct PatternStats {
 };
 
 /// Accumulating pattern -> statistics map with binary (de)serialization.
-/// Move-only: each slot views its name in the index's own arenas, and a move
-/// carries the arenas along.
+/// Move-only: each slot views its name in the index's own arenas or in a
+/// loaded file image the index holds, and a move carries both along.
 class PatternIndex {
  public:
   struct Entry {
@@ -104,10 +106,10 @@ class PatternIndex {
   /// Merges (and consumes) one shard of `other` into the same shard of this
   /// index. Distinct shards are independent, so the offline reduce phase may
   /// call this concurrently for different `shard` values. An empty,
-  /// unreserved shard adopts `other`'s slot table and name arena; otherwise
-  /// one pass over `other`'s entries copies each new key's name into this
-  /// shard's arena and compares the names of every duplicate key. `other`'s
-  /// shard storage is released.
+  /// unreserved shard adopts `other`'s slot table, name arena and file-image
+  /// reference; otherwise one pass over `other`'s entries copies each new
+  /// key's name into this shard's arena and compares the names of every
+  /// duplicate key. `other`'s shard storage is released.
   void MergeShardFrom(size_t shard, PatternIndex* other);
 
   /// Reduce helpers: entry count of one shard, and pre-sizing a shard's
@@ -150,14 +152,15 @@ class PatternIndex {
       const std::function<void(const std::string&, const Entry&)>& fn) const;
 
   /// Entry counts at or above which a multi-threaded ForEachSorted (and
-  /// hence Save) sorts in parallel; below it the sort runs on the caller.
-  static constexpr size_t kParallelSortMinRows = size_t{1} << 15;
+  /// hence Save) sorts in parallel and Load verifies and inserts on a local
+  /// pool; below it the work runs on the caller.
+  static constexpr size_t kParallelMinRows = size_t{1} << 15;
 
   /// Iterates over all entries sorted by (canonical string form, key) — the
   /// deterministic order of the AVIDX003 file and of AVSPILL02 spill runs.
   /// Names are unique per key, so the order is total and the sequence does
   /// not depend on `num_threads`: 1 sorts on the calling thread, 0 selects
-  /// the hardware concurrency, and above kParallelSortMinRows entries more
+  /// the hardware concurrency, and above kParallelMinRows entries more
   /// than one thread range-partitions the rows by sampled splitters and
   /// sorts the ranges concurrently on a local pool.
   void ForEachSorted(
@@ -172,15 +175,24 @@ class PatternIndex {
   /// previous index). The on-disk artifact is the "orders of magnitude
   /// smaller than T" summary of Section 2.4.
   Status Save(const std::string& path) const;
-  /// Reads AVIDX003 (trailer-verified) and, for compatibility, untrailed
-  /// AVIDX002 files. Rejects torn/corrupt input with kCorruption.
+  /// Reads an AVIDX003 file in place: the file is mapped read-only and
+  /// stays mapped for the life of the index (and of any index that adopted
+  /// one of its shards), since the slots view their names in the mapping
+  /// instead of copying them. The AVTRAIL1 checksum is verified, a serial
+  /// bounds-checked pre-pass buckets the entries by shard, and each shard
+  /// checks `key == PolyHash64(name)` and inserts its entries in file order
+  /// — on a local pool from kParallelMinRows entries. Rejects torn/corrupt
+  /// input with kCorruption. Replace a loaded file by rename (as Save does);
+  /// truncating it in place while it is mapped can raise SIGBUS.
   static Result<PatternIndex> Load(const std::string& path);
-  /// Load from an in-memory file image (the fuzz-harness entry point; Load
-  /// is a file slurp plus this).
+  /// Load from an in-memory file image (the fuzz-harness entry point): the
+  /// same loader, over an owned copy of `data` made once the checksum and
+  /// the pre-pass have accepted it.
   static Result<PatternIndex> LoadFromBuffer(std::string_view data);
 
   /// Approximate in-memory footprint in bytes: slots plus name-arena blocks
   /// (diagnostics, and the out-of-core build's chunk residency estimate).
+  /// A loaded file image is not counted.
   uint64_t ApproxBytes() const;
 
  private:
@@ -204,8 +216,7 @@ class PatternIndex {
       b.used += s.size();
       return {dst, s.size()};
     }
-    /// Makes the last block hold at least `bytes` more bytes (the loader
-    /// sizes each shard's arena once from its pre-pass).
+    /// Makes the last block hold at least `bytes` more bytes.
     void Reserve(size_t bytes) {
       if (bytes == 0 || (!blocks_.empty() &&
                          blocks_.back().size - blocks_.back().used >= bytes)) {
@@ -231,7 +242,7 @@ class PatternIndex {
   };
 
   /// One entry's slot value: the statistics plus a view of the entry's
-  /// name in its shard's arena (24 bytes).
+  /// name in its shard's arena or file image (24 bytes).
   struct Slot {
     const char* name_data = nullptr;
     double sum_impurity = 0;
@@ -244,14 +255,31 @@ class PatternIndex {
 
   struct Shard {
     U64FlatMap<Slot> stats;  ///< key -> statistics and name view
-    NameArena names;         ///< bytes of every name in `stats`
+    NameArena names;         ///< bytes of every name not viewed in `image`
+    /// The loaded file whose bytes hold the names of the loaded entries
+    /// (null unless loaded); shared by the shards of one load.
+    std::shared_ptr<const char> image;
     /// Stores `name` for a freshly inserted slot.
     void SetName(Slot* slot, std::string_view name) {
       const std::string_view stored = names.Append(name);
       slot->name_data = stored.data();
       slot->name_len = static_cast<uint32_t>(stored.size());
     }
+    /// Insert-or-add of one aggregated entry (InsertAggregate). A new key's
+    /// slot copies `name` into the arena, or with `in_image` views it where
+    /// it lies (the bytes are kept alive by `image`).
+    void InsertAggregate(uint64_t key, std::string_view name,
+                         double sum_impurity, uint32_t columns,
+                         bool in_image);
   };
+
+  /// The loader behind Load and LoadFromBuffer. Checks `data` (magic,
+  /// trailer, entry count, the pre-pass over every entry header), then
+  /// calls `keep()` for the bytes the loaded slots will view — the same
+  /// bytes as `data`, held for the index's lifetime — and fills the shards.
+  static Result<PatternIndex> LoadImage(
+      std::string_view data,
+      const std::function<std::shared_ptr<const char>()>& keep);
 
   static size_t ShardOf(uint64_t key) { return key >> 60; }
   Shard& ShardFor(uint64_t key) { return shards_[ShardOf(key)]; }

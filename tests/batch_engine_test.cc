@@ -222,19 +222,29 @@ TEST(PatternIndexTest, SaveLoadRoundTripPreservesKeyedLookups) {
 }
 
 TEST(PatternIndexTest, LoadRejectsHugeEntryCount) {
-  // A corrupt header with an absurd n must fail cleanly (clamped by file
-  // size) instead of reserving unbounded memory.
+  // A header with an absurd n under a valid checksum must fail cleanly
+  // (clamped by file size) instead of reserving unbounded memory.
   const std::string path =
       (std::filesystem::temp_directory_path() / "av_huge_count.bin").string();
   {
-    std::ofstream out(path, std::ios::binary);
-    out.write("AVIDX002", 8);
+    std::string payload("AVIDX003", 8);
     const uint64_t n = ~0ULL;
-    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+    payload.append(reinterpret_cast<const char*>(&n), sizeof(n));
+    const uint64_t len = payload.size();
+    const uint64_t digest = PolyHash64(payload);
+    std::ofstream out(path, std::ios::binary);
+    out << payload;
+    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
+    out.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
+    out.write("AVTRAIL1", 8);
   }
   auto loaded = PatternIndex::Load(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  // The count bound rejects it, not the checksum or the magic.
+  EXPECT_NE(loaded.status().message().find("entry count exceeds file size"),
+            std::string::npos)
+      << loaded.status().ToString();
   std::filesystem::remove(path);
 }
 

@@ -13,11 +13,13 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/file_ops.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/temp_file.h"
+#include "common/thread_pool.h"
 
 namespace av {
 namespace {
@@ -74,6 +76,29 @@ TEST(PolyHasherTest, BlockedFoldMatchesPerByteFoldAcrossSeams) {
       i += step;
     }
     EXPECT_EQ(h.digest(), per_byte) << "trial " << trial;
+  }
+}
+
+TEST(PolyHasherTest, FoldJoinMatchesPolyHash64AtRandomSplits) {
+  // Random buffers cut at random points, most of them not multiples of 4:
+  // folding the pieces separately (each from 0 but the first) and joining
+  // them in order must give PolyHash64 of the whole.
+  Rng rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string data(rng.Below(300), '\0');
+    for (char& c : data) c = static_cast<char>(rng.Below(256));
+    std::vector<size_t> cuts = {0, data.size()};
+    for (uint64_t i = rng.Below(6); i > 0; --i) {
+      cuts.push_back(rng.Below(data.size() + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+    uint64_t h = PolyFold(kPolySeed, bytes, cuts[1]);
+    for (size_t i = 1; i + 1 < cuts.size(); ++i) {
+      const size_t len = cuts[i + 1] - cuts[i];
+      h = PolyFoldJoin(h, PolyFold(0, bytes + cuts[i], len), len);
+    }
+    EXPECT_EQ(h, PolyHash64(data)) << "trial " << trial;
   }
 }
 
@@ -200,6 +225,10 @@ TEST(VerifyTrailerTest, RejectsEveryTruncationAndEveryBitFlip) {
   auto bytes = ReadFileToString(path);
   ASSERT_TRUE(bytes.ok());
   ASSERT_TRUE(VerifyTrailer(*bytes).ok());
+  // The pooled check folds the payload in blocks (here mostly 2-3 bytes,
+  // some empty) and must accept and reject exactly what the serial one does.
+  ThreadPool pool(4);
+  ASSERT_TRUE(VerifyTrailer(*bytes, &pool).ok());
 
   // Every proper prefix — the shape a torn write or truncation leaves —
   // must be rejected.
@@ -216,6 +245,8 @@ TEST(VerifyTrailerTest, RejectsEveryTruncationAndEveryBitFlip) {
     auto r = VerifyTrailer(mutated);
     EXPECT_FALSE(r.ok()) << "byte " << i;
     EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << "byte " << i;
+    auto pooled = VerifyTrailer(mutated, &pool);
+    EXPECT_EQ(pooled.status().code(), StatusCode::kCorruption) << "byte " << i;
   }
 }
 

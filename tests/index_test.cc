@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <new>
 #include <sstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -142,7 +145,7 @@ std::vector<std::pair<std::string, uint64_t>> SortedSequence(
 }
 
 TEST(PatternIndexTest, SortedOrderIsTotalAtAnySize) {
-  constexpr size_t kThreshold = PatternIndex::kParallelSortMinRows;
+  constexpr size_t kThreshold = PatternIndex::kParallelMinRows;
   // Names share a 44-byte prefix, so comparisons run deep into the strings;
   // every 37th entry is nameless (empty name), so those order by key alone.
   const std::string prefix =
@@ -194,18 +197,22 @@ TEST(PatternIndexTest, SortedOrderIsTotalAtAnySize) {
   EXPECT_EQ(saved[0], saved[1]);
 }
 
-/// An AVIDX003 image: header claiming `count` entries, then `entries`, then
-/// a correct trailer — so the loader gets past the checksum to the entries.
-std::string IndexImage(uint64_t count, const std::string& entries) {
-  std::string bytes("AVIDX003", 8);
-  bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  bytes += entries;
+/// `payload` followed by its correct AVTRAIL1 trailer.
+std::string WithTrailer(std::string bytes) {
   const uint64_t len = bytes.size();
   const uint64_t digest = PolyHash64(bytes);
   bytes.append(reinterpret_cast<const char*>(&len), sizeof(len));
   bytes.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
   bytes.append(kTrailerMagic, sizeof(kTrailerMagic));
   return bytes;
+}
+
+/// An AVIDX003 image: header claiming `count` entries, then `entries`, then
+/// a correct trailer — so the loader gets past the checksum to the entries.
+std::string IndexImage(uint64_t count, const std::string& entries) {
+  std::string bytes("AVIDX003", 8);
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  return WithTrailer(bytes + entries);
 }
 
 /// One on-disk entry whose name length field says `len` and whose body is
@@ -378,6 +385,196 @@ TEST(PatternIndexTest, NamesSurviveMoves) {
   PatternIndex assigned = ArenaIndex(0, 10);  // its own arena is released
   assigned = std::move(moved);
   ExpectNamesIntact(assigned, 0, kArenaNames);
+}
+
+// ---------------------------------------------------------------------------
+// The in-place loader: a loaded index's slots view their names in the file
+// image it holds, and above kParallelMinRows entries the checksum, the key
+// checks and the inserts run on a pool.
+
+/// Names above the parallel threshold, so Load and LoadFromBuffer take the
+/// pooled path.
+constexpr size_t kLoadNames = PatternIndex::kParallelMinRows + 5000;
+
+/// ArenaIndex(0, kLoadNames) with every 7th name added twice (coverage 2).
+PatternIndex LoadTestIndex() {
+  PatternIndex idx = ArenaIndex(0, kLoadNames);
+  for (size_t i = 0; i < kLoadNames; i += 7) idx.Add(ArenaName(i), 0.75);
+  return idx;
+}
+
+/// Every (name, key, sum_impurity, columns) in ForEachSorted order.
+using SortedEntry = std::tuple<std::string, uint64_t, double, uint32_t>;
+std::vector<SortedEntry> SortedEntries(const PatternIndex& idx) {
+  std::vector<SortedEntry> out;
+  idx.ForEachSorted(
+      [&](uint64_t key, std::string_view name, const PatternIndex::Entry& e) {
+        out.emplace_back(std::string(name), key, e.sum_impurity, e.columns);
+      });
+  return out;
+}
+
+/// Both loaders: Load maps the file, LoadFromBuffer copies the bytes.
+using IndexLoader = std::function<Result<PatternIndex>(const std::string&)>;
+std::vector<std::pair<const char*, IndexLoader>> Loaders() {
+  return {{"Load", [](const std::string& path) {
+             return PatternIndex::Load(path);
+           }},
+          {"LoadFromBuffer", [](const std::string& path) {
+             auto bytes = ReadFileToString(path);
+             if (!bytes.ok()) return Result<PatternIndex>(bytes.status());
+             return PatternIndex::LoadFromBuffer(*bytes);
+           }}};
+}
+
+/// `load(path)`, which must succeed.
+PatternIndex MustLoad(const IndexLoader& load, const std::string& path) {
+  auto loaded = load(path);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return loaded.ok() ? std::move(loaded).value() : PatternIndex();
+}
+
+TEST(PatternIndexLoadTest, InlineAndPooledLoadsAgree) {
+  // One index above the threshold (pooled load), one below it (inline).
+  PatternIndex small = ArenaIndex(0, 5000);
+  for (size_t i = 0; i < 5000; i += 7) small.Add(ArenaName(i), 0.75);
+  std::vector<std::pair<const char*, PatternIndex>> built;
+  built.emplace_back("pooled", LoadTestIndex());
+  built.emplace_back("inline", std::move(small));
+  ASSERT_GE(built[0].second.size(), PatternIndex::kParallelMinRows);
+  ASSERT_LT(built[1].second.size(), PatternIndex::kParallelMinRows);
+  auto dir = ScopedTempDir::Create();
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("index.avidx");
+  for (const auto& [what, idx] : built) {
+    ASSERT_TRUE(idx.Save(path).ok()) << what;
+    const std::vector<SortedEntry> want = SortedEntries(idx);
+    for (const auto& [how, load] : Loaders()) {
+      auto loaded = load(path);
+      ASSERT_TRUE(loaded.ok()) << what << " " << how << ": "
+                               << loaded.status().ToString();
+      EXPECT_EQ(SortedEntries(*loaded), want) << what << " " << how;
+    }
+  }
+}
+
+TEST(PatternIndexLoadTest, LoadThenSaveReproducesTheFile) {
+  auto dir = ScopedTempDir::Create();
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("large.avidx");
+  ASSERT_TRUE(LoadTestIndex().Save(path).ok());
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  for (const auto& [what, load] : Loaders()) {
+    auto loaded = load(path);
+    ASSERT_TRUE(loaded.ok()) << what << ": " << loaded.status().ToString();
+    const std::string resaved = dir->File("resaved.avidx");
+    ASSERT_TRUE(loaded->Save(resaved).ok()) << what;
+    auto again = ReadFileToString(resaved);
+    ASSERT_TRUE(again.ok()) << what;
+    EXPECT_TRUE(*again == *bytes) << what;
+  }
+}
+
+TEST(PatternIndexLoadTest, NamesSurviveTheLoadedSource) {
+  auto dir = ScopedTempDir::Create();
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("large.avidx");
+  ASSERT_TRUE(ArenaIndex(0, kLoadNames).Save(path).ok());
+  for (const auto& [what, load] : Loaders()) {
+    SCOPED_TRACE(what);
+    {  // Move, with a name added after the load (it goes to an arena).
+      auto source = std::make_unique<PatternIndex>(MustLoad(load, path));
+      source->Add(ArenaName(kLoadNames), 0.25);
+      PatternIndex moved(std::move(*source));
+      source.reset();
+      ExpectNamesIntact(moved, 0, kLoadNames + 1);
+    }
+    {  // MergeFrom into an empty index adopts every shard.
+      PatternIndex global;
+      global.MergeFrom(MustLoad(load, path));
+      ExpectNamesIntact(global, 0, kLoadNames);
+    }
+    {  // MergeFrom into a non-empty index copies the new names.
+      PatternIndex global = ArenaIndex(0, 10);
+      global.MergeFrom(MustLoad(load, path));
+      ExpectNamesIntact(global, 0, kLoadNames);
+      EXPECT_EQ(global.Lookup(ArenaName(3))->coverage, 2u);
+    }
+    {  // MergeShardFrom adoption, one shard at a time; then the source dies.
+      auto source = std::make_unique<PatternIndex>(MustLoad(load, path));
+      PatternIndex global;
+      for (size_t s = 0; s < PatternIndex::kNumShards; ++s) {
+        global.MergeShardFrom(s, source.get());
+      }
+      source.reset();
+      ExpectNamesIntact(global, 0, kLoadNames);
+    }
+  }
+}
+
+/// Offset of the first name byte of the entry at position `i` in file order.
+size_t NameOffset(const std::string& bytes, size_t i) {
+  size_t at = 16;  // magic + entry count
+  for (; i > 0; --i) {
+    uint32_t len = 0;
+    std::memcpy(&len, bytes.data() + at + 8, sizeof(len));
+    at += 8 + 4 + len + 8 + 4;
+  }
+  return at + 8 + 4;
+}
+
+TEST(PatternIndexLoadTest, CorruptionFailsInThePooledPath) {
+  auto dir = ScopedTempDir::Create();
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("large.avidx");
+  ASSERT_TRUE(LoadTestIndex().Save(path).ok());
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  const std::string payload = bytes->substr(0, bytes->size() - kTrailerBytes);
+
+  struct Case {
+    std::string what;
+    std::string image;
+  };
+  std::vector<Case> cases;
+  for (const size_t entry : {size_t{0}, kLoadNames / 2, kLoadNames - 1}) {
+    // A flipped name byte: the checksum catches it, and with a re-stamped
+    // trailer the key check does.
+    std::string flipped = *bytes;
+    flipped[NameOffset(flipped, entry)] ^= 0x01;
+    cases.push_back({"name byte of entry " + std::to_string(entry), flipped});
+    std::string forged = payload;
+    forged[NameOffset(forged, entry)] ^= 0x01;
+    cases.push_back({"re-stamped name byte of entry " + std::to_string(entry),
+                     WithTrailer(forged)});
+  }
+  cases.push_back({"empty file", ""});
+  cases.push_back({"shorter than the magic", bytes->substr(0, 5)});
+  cases.push_back({"shorter than the header", bytes->substr(0, 12)});
+  for (const size_t cut : {size_t{16}, size_t{100}, bytes->size() / 2,
+                           bytes->size() - kTrailerBytes, bytes->size() - 1}) {
+    cases.push_back({"truncated at " + std::to_string(cut),
+                     bytes->substr(0, cut)});
+  }
+  cases.push_back({"payload truncated, re-stamped",
+                   WithTrailer(payload.substr(0, payload.size() - 7))});
+
+  for (const Case& c : cases) {
+    auto loaded = PatternIndex::LoadFromBuffer(c.image);
+    ASSERT_FALSE(loaded.ok()) << c.what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+        << c.what << ": " << loaded.status().ToString();
+    const std::string file = dir->File("bad.avidx");
+    {
+      std::ofstream out(file, std::ios::binary | std::ios::trunc);
+      out << c.image;
+    }
+    auto mapped = PatternIndex::Load(file);
+    ASSERT_FALSE(mapped.ok()) << c.what;
+    EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption)
+        << c.what << ": " << mapped.status().ToString();
+  }
 }
 
 // Golden byte-identity of the saved AVIDX003 payload (the bytes before the

@@ -1,8 +1,8 @@
 // Cross-format persistence robustness: crash-shaped damage (truncation at
 // every offset) must always be rejected with kCorruption/kIOError — never a
-// crash, never a half-load; the previous untrailed index and rule-set
-// formats (AVIDX002, AVRULESET1) stay readable, while spill runs, which
-// never outlive one build, accept only AVSPILL02; and a FAILED save must
+// crash, never a half-load; the previous untrailed rule-set format
+// (AVRULESET1) stays readable, while indexes accept only AVIDX003 and spill
+// runs, which never outlive one build, only AVSPILL02; and a FAILED save must
 // leave the previously saved file untouched (the regression behind the old
 // ValidationService::Save, which opened the target with std::ios::trunc and
 // destroyed the old rule set before writing a byte of the new one).
@@ -135,29 +135,22 @@ TEST(PersistenceTest, SpillCursorRejectsTruncationAtEveryOffset) {
 
 // --------------------------------------------------------- read-compat
 
-TEST(PersistenceTest, IndexReadsPreviousUntrailedFormat) {
+TEST(PersistenceTest, IndexRejectsUntrailedFormat) {
   const std::string v3 = GoldenIndexBytes();
-  // The previous AVIDX002 format is exactly today's payload with the old
-  // version byte and no trailer.
   auto payload_len = VerifyTrailer(v3);
   ASSERT_TRUE(payload_len.ok());
-  std::string v2 = v3.substr(0, *payload_len);
-  v2[7] = '2';
-  auto loaded = PatternIndex::LoadFromBuffer(v2);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // Round-trip proof of equality: re-saving the loaded index reproduces
-  // the modern file byte-for-byte.
-  ScopedTempDir dir = MakeTempDir();
-  const std::string path = dir.File("resaved.avidx");
-  ASSERT_TRUE(loaded->Save(path).ok());
-  EXPECT_EQ(Slurp(path), v3);
-
-  // A modern v3 magic WITHOUT its trailer must be rejected: the leading
-  // magic decides whether a trailer is required.
+  // The AVIDX003 magic WITHOUT its trailer must be rejected: the trailer
+  // is mandatory.
   std::string untrailed_v3 = v3.substr(0, *payload_len);
   auto rejected = PatternIndex::LoadFromBuffer(untrailed_v3);
   EXPECT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kCorruption);
+  // The previous AVIDX002 format (the same payload with version byte 2 and
+  // no trailer) is no longer read.
+  std::string v2 = untrailed_v3;
+  v2[7] = '2';
+  EXPECT_EQ(PatternIndex::LoadFromBuffer(v2).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(PersistenceTest, RuleSetReadsPreviousUntrailedFormat) {

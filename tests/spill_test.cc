@@ -106,7 +106,7 @@ TEST(SpillRunTest, RoundTripsSortedEntries) {
     ASSERT_TRUE(cursor.Next().ok());
   }
   ASSERT_EQ(entries.size(), 3u);
-  // Sorted by canonical string (the AVIDX002 Save order).
+  // Sorted by canonical string (the AVIDX003 Save order).
   EXPECT_EQ(entries[0].name, "<digit>+");
   EXPECT_EQ(entries[1].name, "<letter>+");
   EXPECT_EQ(entries[2].name, "Mar <digit>{2}");
